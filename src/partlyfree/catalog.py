@@ -42,9 +42,9 @@ from .pairs import (
     FormalIsometryPair,
     PairConstructionError,
     Summand,
-    construct_pair_double_cycle,
     construct_pair_infinite_path,
     construct_pair_unital,
+    double_cycle_pair,
     quiver_pair,
     verify_materialized,
 )
@@ -514,20 +514,10 @@ def classify_family(name: str, window: Optional[int] = None) -> PropertyReport:
     entry = builtin(name)
     if entry.kind == "finite":
         raise GraphError(f"catalog entry {entry.name!r} is finite; use classify_finite")
-    flags = entry.expected_flags
     return PropertyReport(
-        has_double_cycle=flags["has_double_cycle"],
+        **entry.expected_flags,
         double_cycle_witness=None,
-        uniform_double_cycle=flags["uniform_double_cycle"],
-        aperiodic_path=flags["aperiodic_path"],
-        aperiodic_witness=entry.certificate if flags["aperiodic_path"] else None,
-        uniform_aperiodic_path=flags["uniform_aperiodic_path"],
-        lg_partly_free=flags["lg_partly_free"],
-        lg_unitally_partly_free=flags["lg_unitally_partly_free"],
-        ag_partly_free=flags["ag_partly_free"],
-        ag_unitally_partly_free=flags["ag_unitally_partly_free"],
-        hyperreflexive_sufficient=flags["hyperreflexive_sufficient"],
-        vertex_count_finite=flags["vertex_count_finite"],
+        aperiodic_witness=entry.certificate if entry.expected_flags["aperiodic_path"] else None,
     )
 
 
@@ -592,9 +582,7 @@ def check_entry(name: str, depth: Optional[int] = None) -> EntryCheck:
         g = entry.graph
         if entry.expected_flags["ag_partly_free"]:
             checks.append(_pair_check("quiver pair", quiver_pair, g, depth))
-            checks.append(
-                _pair_check("double-cycle pair", _pair_from_first_witness, g, depth)
-            )
+            checks.append(_pair_check("double-cycle pair", double_cycle_pair, g, depth))
         if entry.expected_flags["lg_unitally_partly_free"]:
             checks.append(_pair_check("unital pair", construct_pair_unital, g, depth))
     else:
@@ -628,13 +616,6 @@ def check_entry(name: str, depth: Optional[int] = None) -> EntryCheck:
             except (PairConstructionError, GraphError) as exc:
                 checks.append(("windowed tail pair verifies", False, str(exc)))
     return EntryCheck(entry.name, tuple(checks))
-
-
-def _pair_from_first_witness(g: Graph) -> FormalIsometryPair:
-    witnesses = double_cycle_witnesses(g)
-    if not witnesses:
-        raise PairConstructionError("graph has no double-cycle")
-    return construct_pair_double_cycle(g, witnesses[0])
 
 
 def _pair_check(label, constructor, g, depth):

@@ -25,10 +25,11 @@ from .graphs import (
     to_dot,
 )
 from .pairs import (
+    MODES,
     PairConstructionError,
-    construct_pair_double_cycle,
     construct_pair_infinite_path,
     construct_pair_unital,
+    double_cycle_pair,
     pair_from_json,
     quiver_pair,
     verify_materialized,
@@ -160,10 +161,7 @@ def _build_pair(source: _Source, mode: str, window: Optional[int]):
     if mode == "unital":
         return construct_pair_unital(g)
     if mode == "double-cycle":
-        witnesses = double_cycle_witnesses(g)
-        if not witnesses:
-            raise PairConstructionError("graph has no double-cycle")
-        return construct_pair_double_cycle(g, witnesses[0])
+        return double_cycle_pair(g)
     if mode == "infinite-path":
         raise PairConstructionError(
             "infinite-path pairs exist only for catalog families with a certificate"
@@ -308,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument(
         "--mode",
-        choices=["double-cycle", "infinite-path", "unital", "quiver"],
+        choices=MODES,
         default="double-cycle",
     )
     p.add_argument("--pair", default=None, help="verify a pair JSON file instead of constructing")
@@ -319,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument(
         "--mode",
-        choices=["double-cycle", "infinite-path", "unital", "quiver"],
+        choices=MODES,
         default="double-cycle",
     )
     p.add_argument("--window", type=int, default=None)

@@ -445,22 +445,6 @@ class PropertyReport:
         }
 
 
-def _double_cycle_properties(g: Graph) -> tuple[bool, bool, list[DoubleCycleWitness]]:
-    """(has_double_cycle, uniform_double_cycle, witnesses) for a finite graph."""
-    witnesses = double_cycle_witnesses(g)
-    if not witnesses:
-        return False, False, []
-    bad_vertices = frozenset(
-        v
-        for comp in strongly_connected_components(g)
-        if _component_shape(g, comp) == "branching"
-        for v in comp
-    )
-    reach = _reaches(g, bad_vertices)
-    uniform = bool(g.vertices) and all(v in reach for v in g.vertices)
-    return True, uniform, witnesses
-
-
 def classify_finite(g: Graph) -> PropertyReport:
     """Decide all properties and algebra flags for a finite graph.
 
@@ -471,9 +455,15 @@ def classify_finite(g: Graph) -> PropertyReport:
     "the transpose graph has the uniform aperiodic path property" (the
     commutant then contains two isometries with orthogonal ranges).
     """
-    has_dc, uniform_dc, witnesses = _double_cycle_properties(g)
+    witnesses = double_cycle_witnesses(g)
     witness = witnesses[0] if witnesses else None
-    _, transpose_uniform, _ = _double_cycle_properties(transpose(g))
+    has_dc = bool(witnesses)
+    # one witness per branching component, so reaching the bases is reaching
+    # every branching vertex; the transpose has the same components with the
+    # same shapes, so its uniform property reads off the same bases
+    bases = frozenset(w.base for w in witnesses)
+    uniform_dc = has_dc and len(_reaches(g, bases)) == len(g.vertices)
+    transpose_uniform = has_dc and len(_reaches(transpose(g), bases)) == len(g.vertices)
     warnings = ()
     if not g.vertices:
         warnings = (

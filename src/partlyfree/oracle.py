@@ -21,9 +21,9 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .fock import FockBasis, SparseOp, build_basis, left_op, length_projection
+from .fock import build_basis, length_projection
 from .graphs import Edge, Graph, double_cycle_witnesses
-from .pairs import Summand
+from .pairs import Summand, sum_left_ops
 from .paths import Path, enumerate_paths, is_left_divisor
 
 DEFAULT_SEED = 1729
@@ -129,13 +129,6 @@ def _candidate_operators(
     return candidates
 
 
-def _materialize_sum(basis: FockBasis, summands: tuple[Summand, ...]) -> SparseOp:
-    out = SparseOp.zero(basis)
-    for s in summands:
-        out = out + left_op(basis, s.word)
-    return out
-
-
 def _cross_divisible(u_words: list[Path], v_words: list[Path]) -> bool:
     for a in u_words:
         for b in v_words:
@@ -204,7 +197,7 @@ def search_isometry_pairs(
         """(op, adjoint, compressed initial, initial support, range support),
         or None when the candidate is zero or not a partial isometry."""
         if i not in profiles:
-            u = _materialize_sum(basis, candidates[i])
+            u = sum_left_ops(basis, candidates[i])
             if u.is_zero():
                 profiles[i] = None
             else:

@@ -20,25 +20,18 @@ Three constructions are provided:
   initial projection a finite sum of vertex projections as the norm
   closed algebra requires.
 
-Everything is verified a posteriori on a truncated Fock space with exact
-rational arithmetic; no identity is claimed past the interior level at
-which truncation defects are expected.
+Everything is verified a posteriori on a truncated Fock space, exactly,
+with integers and sets on the pairs' 0/1 partial maps; no identity is
+claimed past the interior level at which truncation defects are expected.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .fock import (
-    FockBasis,
-    PartialIsometryReport,
-    SparseOp,
-    left_op,
-    length_projection,
-    partial_isometry_report,
-    sum_vertex_projection,
-)
+from .fock import FockBasis, SparseOp, left_op
 from .graphs import (
     DoubleCycleWitness,
     Graph,
@@ -100,24 +93,33 @@ class FormalIsometryPair:
         }
 
 
-def pair_from_json(g: Graph, obj: dict) -> FormalIsometryPair:
-    try:
-        mode = obj["mode"]
-        su = tuple(
-            Summand(item["source"], path_from_literal(g, item["word"]))
-            for item in obj["summands_u"]
+def _field(obj, key: str, kind: type):
+    """``obj[key]`` when ``obj`` is a JSON object holding a ``kind`` there."""
+    value = obj.get(key) if isinstance(obj, dict) else None
+    if not isinstance(value, kind):
+        raise PairConstructionError(
+            f"malformed pair description: {key!r} must be a {kind.__name__}"
         )
-        sv = tuple(
-            Summand(item["source"], path_from_literal(g, item["word"]))
-            for item in obj["summands_v"]
+    return value
+
+
+def pair_from_json(g: Graph, obj) -> FormalIsometryPair:
+    """Read what :meth:`FormalIsometryPair.to_json` writes; a pair file of
+    any other shape raises :class:`PairConstructionError`."""
+    if not isinstance(obj, dict):
+        raise PairConstructionError("malformed pair description: expected a JSON object")
+    su, sv = (
+        tuple(
+            Summand(_field(item, "source", str), path_from_literal(g, _field(item, "word", str)))
+            for item in _field(obj, key, list)
         )
-        initial = frozenset(obj["initial_set"])
-    except (KeyError, TypeError) as exc:
-        raise PairConstructionError(f"malformed pair description: {exc}") from None
+        for key in ("summands_u", "summands_v")
+    )
+    initial = _field(obj, "initial_set", list)
     for x in initial:
-        if not g.has_vertex(x):
+        if not isinstance(x, str) or not g.has_vertex(x):
             raise PairConstructionError(f"initial set names unknown vertex {x!r}")
-    return FormalIsometryPair(mode, su, sv, initial)
+    return FormalIsometryPair(_field(obj, "mode", str), su, sv, frozenset(initial))
 
 
 def _shortest_word(g: Graph, frm: str, to: str) -> Optional[tuple[str, ...]]:
@@ -192,6 +194,14 @@ def construct_pair_double_cycle(g: Graph, witness: DoubleCycleWitness) -> Formal
     raise PairConstructionError(
         f"no orthogonal word family found at {base!r} after {_RETRY_BOUND} exponent shifts"
     )
+
+
+def double_cycle_pair(g: Graph) -> FormalIsometryPair:
+    """The double-cycle pair at the first witness (least base vertex)."""
+    witnesses = double_cycle_witnesses(g)
+    if not witnesses:
+        raise PairConstructionError("graph has no double-cycle")
+    return construct_pair_double_cycle(g, witnesses[0])
 
 
 def construct_pair_unital(g: Graph) -> FormalIsometryPair:
@@ -288,31 +298,30 @@ class MaterializedPair:
     pair: FormalIsometryPair
 
 
-def materialize(
-    pair: FormalIsometryPair, b: FockBasis, allow_boundary_zeros: Optional[bool] = None
-) -> MaterializedPair:
+def sum_left_ops(b: FockBasis, summands: Sequence[Summand]) -> SparseOp:
+    """The truncated matrix of sum_k L_{w_k} over the summand words."""
+    out = SparseOp.zero(b)
+    for s in summands:
+        out = out + left_op(b, s.word)
+    return out
+
+
+def materialize(pair: FormalIsometryPair, b: FockBasis) -> MaterializedPair:
     """Sum the truncated L_w matrices of both operators.
 
-    A word longer than the depth materializes as the zero block.  For
-    infinite-path windows this is expected (the window may outrun the
-    depth) and allowed by default; for the other modes it indicates a
-    depth chosen too small and raises instead.
+    A word longer than the depth materializes as the zero block.  On the
+    window of a built-in countable family this is expected (the window
+    may outrun the depth) and allowed; on any other graph, whatever the
+    pair's mode, it indicates a depth chosen too small and raises.
     """
-    if allow_boundary_zeros is None:
-        allow_boundary_zeros = pair.mode == "infinite-path"
     maxlen = pair.max_word_length()
-    if maxlen > b.depth and not allow_boundary_zeros:
+    if maxlen > b.depth and b.graph.family is None:
         raise PairConstructionError(
             f"summand words reach length {maxlen}; materialize at depth >= {maxlen}"
         )
-    u = SparseOp.zero(b)
-    for s in pair.u_summands:
-        u = u + left_op(b, s.word)
-    v = SparseOp.zero(b)
-    for s in pair.v_summands:
-        v = v + left_op(b, s.word)
     u_levels = {s.source: b.depth - len(s.word) for s in pair.u_summands}
     v_levels = {s.source: b.depth - len(s.word) for s in pair.v_summands}
+    u, v = sum_left_ops(b, pair.u_summands), sum_left_ops(b, pair.v_summands)
     return MaterializedPair(u, v, b.depth - maxlen, u_levels, v_levels, pair)
 
 
@@ -320,7 +329,7 @@ def materialize(
 class VerificationReport:
     """Exact verification outcomes for a materialized pair.
 
-    Every boolean is the result of an exact rational matrix identity.
+    Every boolean is an exact identity, decided as :func:`verify_pair` says.
     ``initial_projections_match`` compares U*U, V*V and the sum of the
     initial vertex projections after compressing to the interior E_m;
     ``blockwise_exact`` states the uncompressed identity
@@ -337,8 +346,6 @@ class VerificationReport:
     blockwise_exact: Optional[bool]
     range_condition: bool
     standard_form: bool
-    u_report: PartialIsometryReport
-    v_report: PartialIsometryReport
     messages: tuple[str, ...]
     exactness_note: str = "all identities checked in exact rational arithmetic (zero tolerance)"
 
@@ -375,16 +382,14 @@ class VerificationReport:
         return out
 
 
-def _blockwise_projection(b: FockBasis, levels: dict[str, int]) -> SparseOp:
-    from fractions import Fraction
-
-    one = Fraction(1)
-    entries = {
-        (i, i): one
-        for i, p in enumerate(b.paths)
-        if p.target in levels and len(p) <= levels[p.target]
-    }
-    return SparseOp(b, entries)
+def _partial_map(op: SparseOp) -> dict[int, int]:
+    """The matrix of a sum of L_w over distinct sources as its map col -> row."""
+    f: dict[int, int] = {}
+    for (row, col), value in op.entries.items():
+        if value != 1 or col in f:
+            raise GraphError("operator is not a 0/1 partial map of basis paths")
+        f[col] = row
+    return f
 
 
 def verify_pair(
@@ -408,43 +413,77 @@ def verify_pair(
         projection plays the role of the full initial projection, since
         a window sees only finitely many of the infinitely many summands;
     (d) both operators pass the partial-isometry standard-form check.
+
+    U and V are read as partial maps f, g of basis paths (``GraphError``
+    if either is not one, or the bases differ), and each identity is
+    decided exactly with integers and sets: U*V == 0 iff f and g have
+    disjoint ranges; U*U is [f(i) == f(j)], a projection iff f is
+    injective; UU* is the diagonal of the fiber sizes of f.  ``SparseOp``
+    products and ``partial_isometry_report`` are the test reference.
     """
     b = u.basis
+    u._check_same_basis(v)
+    unknown = set(initial_set).union(range_set or ()) - set(b.graph.vertices)
+    if unknown:
+        raise GraphError(f"unknown vertex {min(unknown)!r}")
+    lengths = [len(p) for p in b.paths]
+    targets = [p.target for p in b.paths]
+    classes = Counter(zip(targets, lengths))
+
+    def is_block(members, levels: dict[str, int]) -> bool:
+        """Are ``members`` exactly the paths p with len(p) <= levels[target(p)]?"""
+        size = sum(n for (x, length), n in classes.items() if length <= levels.get(x, -1))
+        return len(members) == size and all(
+            lengths[i] <= levels.get(targets[i], -1) for i in members
+        )
+
+    def read(op: SparseOp):
+        """Read ``op`` once as its partial map h; return h, whether h is
+        injective, the supports of E U*U E (dom h in E) and of E UU* E
+        (range h in E), each None when that is no 0/1 diagonal, and the
+        vertex set of the standard form of U*U, None when it has none."""
+        h = _partial_map(op)
+        fibers = Counter(h.values())
+        injective = len(fibers) == len(h)
+        initial = {i for i in h if lengths[i] <= level}
+        if len({h[i] for i in initial}) != len(initial):
+            initial = None
+        ranges = {r for r in fibers if lengths[r] <= level}
+        if any(fibers[r] > 1 for r in ranges):
+            ranges = None
+        top: dict[str, int] = {}
+        for i in h:
+            top[targets[i]] = max(top.get(targets[i], 0), lengths[i])
+        vertex_set = frozenset(top) if injective and is_block(h, top) else None
+        return h, injective, initial, ranges, vertex_set
+
+    f, injective_u, s_u, lhs_u, vertex_set_u = read(u)
+    g, injective_v, s_v, lhs_v, vertex_set_v = read(v)
     messages: list[str] = []
-    nonzero = not u.is_zero() and not v.is_zero()
+    nonzero = bool(f) and bool(g)
     if not nonzero:
         messages.append("an operator materialized to zero (depth far below the word lengths?)")
-    orthogonal = (u.adjoint() * v).is_zero()
+    orthogonal = set(f.values()).isdisjoint(g.values())
     if not orthogonal:
         messages.append("U*V has a nonzero entry")
 
-    em = length_projection(b, level)
-    p_initial = sum_vertex_projection(b, initial_set)
-    uu = u.adjoint() * u
-    vv = v.adjoint() * v
-    uu_m = em * uu * em
-    vv_m = em * vv * em
-    target = p_initial * em
-    initial_match = uu_m == vv_m == target
+    target = {x: level for x in initial_set}
+    initial_match = all(s is not None and is_block(s, target) for s in (s_u, s_v))
     if not initial_match:
         messages.append("compressed initial projections disagree")
 
     blockwise: Optional[bool] = None
     if u_levels is not None and v_levels is not None:
-        blockwise = uu == _blockwise_projection(b, u_levels) and vv == _blockwise_projection(
-            b, v_levels
-        )
+        blockwise = injective_u and injective_v and is_block(f, u_levels) and is_block(g, v_levels)
         if not blockwise:
             messages.append("blockwise initial projection identity fails")
 
     if range_set is None:
-        rhs_u = uu_m.diagonal_01_support()
-        rhs_v = vv_m.diagonal_01_support()
+        rhs_u, rhs_v = s_u, s_v
     else:
-        rhs = (sum_vertex_projection(b, range_set) * em).diagonal_01_support()
-        rhs_u = rhs_v = rhs
-    lhs_u = (em * (u * u.adjoint()) * em).diagonal_01_support()
-    lhs_v = (em * (v * v.adjoint()) * em).diagonal_01_support()
+        rhs_u = rhs_v = {
+            i for i, n in enumerate(lengths) if n <= level and targets[i] in range_set
+        }
     if lhs_u is None or lhs_v is None or rhs_u is None or rhs_v is None:
         range_condition = False
         messages.append("a range or initial projection is not a 0/1 diagonal")
@@ -453,22 +492,13 @@ def verify_pair(
         if not range_condition:
             messages.append("a range projection escapes the initial projection")
 
-    u_report = partial_isometry_report(u)
-    v_report = partial_isometry_report(v)
-    standard_form = (
-        u_report.is_partial_isometry
-        and u_report.failure is None
-        and v_report.is_partial_isometry
-        and v_report.failure is None
-    )
+    standard_form = vertex_set_u is not None and vertex_set_v is not None
     if standard_form and u_levels is not None and v_levels is not None:
         expected_u = frozenset(x for x, m in u_levels.items() if m >= 0)
         expected_v = frozenset(x for x, m in v_levels.items() if m >= 0)
-        standard_form = u_report.vertex_set == expected_u and v_report.vertex_set == expected_v
+        standard_form = vertex_set_u == expected_u and vertex_set_v == expected_v
     elif standard_form:
-        standard_form = (
-            u_report.vertex_set <= initial_set and v_report.vertex_set <= initial_set
-        )
+        standard_form = vertex_set_u <= initial_set and vertex_set_v <= initial_set
     if not standard_form:
         messages.append("standard-form decomposition does not match the predicted vertex set")
 
@@ -481,16 +511,19 @@ def verify_pair(
         blockwise_exact=blockwise,
         range_condition=range_condition,
         standard_form=standard_form,
-        u_report=u_report,
-        v_report=v_report,
         messages=tuple(messages),
     )
 
 
 def verify_materialized(pair: FormalIsometryPair, b: FockBasis) -> VerificationReport:
-    """Materialize and verify in one step, with mode-appropriate settings."""
+    """Materialize and verify in one step.
+
+    The check strength comes from the graph, never from the pair's own
+    mode field: only the window of a built-in countable family compares
+    ranges against all of its vertices.
+    """
     mat = materialize(pair, b)
-    range_set = frozenset(b.graph.vertices) if pair.mode == "infinite-path" else None
+    range_set = frozenset(b.graph.vertices) if b.graph.family is not None else None
     return verify_pair(
         mat.u,
         mat.v,

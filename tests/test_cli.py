@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from partlyfree.cli import main
 
 
@@ -103,6 +105,51 @@ def test_verify_corrupted_pair_exits_two(tmp_path, capsys):
     )
     assert code == 2
     assert "verification FAILED" in out
+
+
+def _pair_file(tmp_path, pair):
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(pair))
+    return str(path)
+
+
+@pytest.mark.parametrize("mode", ["infinite-path", "double-cycle"])
+def test_verify_pair_file_cannot_pick_a_weaker_check(tmp_path, capsys, mode):
+    # U = L_f ranges over paths ending at y, outside the initial projection
+    # P_x; only a family window may compare ranges against all vertices
+    pair = {
+        "mode": mode,
+        "summands_u": [{"source": "x", "word": "f"}],
+        "summands_v": [{"source": "x", "word": "e"}],
+        "initial_set": ["x"],
+    }
+    path = _pair_file(tmp_path, pair)
+    code, out, _ = run(capsys, "verify", "partly_free_D", "--pair", path, "--depth", "6")
+    assert code == 2
+    assert "a range projection escapes the initial projection" in out
+    # nor may it let words outrun the depth on a finite graph
+    code, _, err = run(capsys, "verify", "partly_free_D", "--pair", path, "--depth", "0")
+    assert code == 1
+    assert "depth" in err
+
+
+@pytest.mark.parametrize(
+    "where,key,value",
+    [("pair", "initial_set", "xy"), ("summand", "word", 5), ("pair", "summands_v", {})],
+)
+def test_verify_rejects_mistyped_pair_file(tmp_path, capsys, where, key, value):
+    pair = {
+        "mode": "unital",
+        "summands_u": [{"source": "x", "word": "e.e"}, {"source": "y", "word": "f.g"}],
+        "summands_v": [{"source": "y", "word": "e.g"}, {"source": "x", "word": "f.e"}],
+        "initial_set": ["x", "y"],
+    }
+    (pair if where == "pair" else pair["summands_u"][0])[key] = value
+    path = _pair_file(tmp_path, pair)
+    code, out, err = run(capsys, "verify", "partly_free_D", "--pair", path, "--depth", "6")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: malformed pair description") and len(err.splitlines()) == 1
 
 
 def test_verify_infinite_path_window(capsys):

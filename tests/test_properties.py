@@ -10,6 +10,7 @@ import pytest
 
 from partlyfree import (
     BasisCapError,
+    Summand,
     build_basis,
     construct_pair_double_cycle,
     double_cycle_witnesses,
@@ -22,6 +23,7 @@ from partlyfree import (
 )
 from partlyfree.catalog import builtin
 from partlyfree import catalog
+from partlyfree.pairs import sum_left_ops
 
 from test_paths import graph_and_walk, graphs
 
@@ -151,3 +153,206 @@ def test_left_ops_multiply_like_words_exhaustively(graph_d):
             assert product.is_zero()
         else:
             assert product == left_op(basis, uw)
+
+
+# ------------------------------------------- verify_pair against SparseOp
+
+
+def _reference_checks(u, v, initial_set, level, u_levels=None, v_levels=None, range_set=None):
+    """The identities verify_pair decides, computed instead with SparseOp
+    products, compressions, diagonal supports and partial_isometry_report."""
+    from partlyfree import SparseOp, length_projection, partial_isometry_report
+    from partlyfree import sum_vertex_projection
+
+    b = u.basis
+    em = length_projection(b, level)
+    uu, vv = u.adjoint() * u, v.adjoint() * v
+    uu_m, vv_m = em * uu * em, em * vv * em
+    checks = {
+        "nonzero": not u.is_zero() and not v.is_zero(),
+        "orthogonal": (u.adjoint() * v).is_zero(),
+        "initial_projections_match": uu_m == vv_m == sum_vertex_projection(b, initial_set) * em,
+        "blockwise_exact": None,
+    }
+    if u_levels is not None and v_levels is not None:
+
+        def block(levels):
+            out = SparseOp.zero(b)
+            for x, m in levels.items():
+                out = out + sum_vertex_projection(b, {x}) * length_projection(b, m)
+            return out
+
+        checks["blockwise_exact"] = uu == block(u_levels) and vv == block(v_levels)
+    if range_set is None:
+        rhs_u, rhs_v = uu_m.diagonal_01_support(), vv_m.diagonal_01_support()
+    else:
+        rhs_u = rhs_v = (sum_vertex_projection(b, range_set) * em).diagonal_01_support()
+    lhs_u = (em * (u * u.adjoint()) * em).diagonal_01_support()
+    lhs_v = (em * (v * v.adjoint()) * em).diagonal_01_support()
+    checks["range_condition"] = (
+        None not in (lhs_u, lhs_v, rhs_u, rhs_v) and lhs_u <= rhs_u and lhs_v <= rhs_v
+    )
+    ru, rv = partial_isometry_report(u), partial_isometry_report(v)
+    standard = all(r.is_partial_isometry and r.failure is None for r in (ru, rv))
+    if standard and u_levels is not None and v_levels is not None:
+        standard = ru.vertex_set == {x for x, m in u_levels.items() if m >= 0} and (
+            rv.vertex_set == {x for x, m in v_levels.items() if m >= 0}
+        )
+    elif standard:
+        standard = ru.vertex_set <= initial_set and rv.vertex_set <= initial_set
+    checks["standard_form"] = standard
+    return checks
+
+
+def _assert_agrees(u, v, initial_set, level, u_levels=None, v_levels=None, range_set=None):
+    from partlyfree import verify_pair
+
+    args = (u, v, frozenset(initial_set), level, u_levels, v_levels, range_set)
+    report = verify_pair(*args)
+    expected = _reference_checks(*args)
+    assert {name: getattr(report, name) for name in expected} == expected
+    return report
+
+
+def _levels(summands, depth):
+    return {s.source: depth - len(s.word) for s in summands}
+
+
+def _random_summands(rng, g):
+    """L_w with |w| <= 3 over a random set of distinct sources; a word that
+    is a left factor of another makes the sum non-injective."""
+    out = []
+    for x in rng.sample(g.vertices, rng.randint(0, len(g.vertices))):
+        names, at = [], x
+        for _ in range(rng.randint(0, 3)):
+            edges = g.out_edges(at)
+            if not edges:
+                break
+            e = rng.choice(edges)
+            names.append(e.name)
+            at = e.dst
+        out.append(Summand(x, word(g, names) if names else unit(g, x)))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_verify_pair_agrees_with_sparse_products_on_random_sums(rng):
+    from partlyfree.oracle import random_graph
+
+    g = random_graph(rng, max_vertices=4, max_edges=6)
+    depth = rng.randint(0, 4)
+    try:
+        b = build_basis(g, depth, cap=1500)
+    except BasisCapError:
+        return
+    su, sv = _random_summands(rng, g), _random_summands(rng, g)
+    with_levels = rng.random() < 0.5
+    _assert_agrees(
+        sum_left_ops(b, su),
+        sum_left_ops(b, sv),
+        rng.choice([{s.source for s in su}, set(g.vertices), set(rng.sample(g.vertices, 1))]),
+        rng.randint(-1, depth),
+        _levels(su, depth) if with_levels else None,
+        _levels(sv, depth) if with_levels else None,
+        rng.choice([None, frozenset(g.vertices), frozenset(rng.sample(g.vertices, 1))]),
+    )
+
+
+def _constructed_pair(name, kind):
+    from partlyfree import construct_pair_infinite_path, construct_pair_unital, quiver_pair
+    from partlyfree.pairs import double_cycle_pair
+
+    if kind == "window":
+        return catalog.family_truncation(name, 9), construct_pair_infinite_path(name, 9)
+    g = builtin(name).graph
+    constructor = {"quiver": quiver_pair, "double-cycle": double_cycle_pair}.get(
+        kind, construct_pair_unital
+    )
+    return g, constructor(g)
+
+
+def _lies(g, us, vs):
+    """Planted lies: a V word smuggled into U, a U word cut to its last
+    edge (a left factor), and U extended by a longer word that has a U word
+    as left factor from a new source (a non-injective U)."""
+    lies = [([vs[0]] + [s for s in us if s.source != vs[0].source], vs)]
+    w = max(us, key=lambda s: len(s.word)).word
+    if len(w) >= 2:
+        cut = Summand(g.edge(w.edges[-1]).src, word(g, w.edges[-1:]))
+        lies.append(([cut] + [s for s in us if s.source != cut.source], vs))
+    used = {s.source for s in us}
+    for e in g.edges:
+        if e.dst == w.source and e.src not in used:
+            lies.append((us + [Summand(e.src, word(g, (e.name,) + w.edges))], vs))
+            break
+    return lies
+
+
+@pytest.mark.parametrize(
+    "name,kind",
+    [
+        (name, kind)
+        for name in ("n_loops(2)", "partly_free_D", "n_loops(3)")
+        for kind in ("quiver", "double-cycle", "unital")
+    ]
+    + [("cycle_inf", "window")],
+)
+def test_verify_pair_agrees_with_sparse_products_on_pairs_and_lies(name, kind):
+    g, pair = _constructed_pair(name, kind)
+    depth = pair.max_word_length() + 1
+    b = build_basis(g, depth)
+    us, vs = list(pair.u_summands), list(pair.v_summands)
+    cases = [(us, vs)] + _lies(g, us, vs)
+    for i, (su, sv) in enumerate(cases):
+        u, v = sum_left_ops(b, su), sum_left_ops(b, sv)
+        level = depth - max(len(s.word) for s in su + sv)
+        for range_set in (None, frozenset(g.vertices)):
+            for levels in (None, (_levels(su, depth), _levels(sv, depth))):
+                report = _assert_agrees(
+                    u, v, pair.initial_set, level, *(levels or (None, None)), range_set
+                )
+                if i == 0 and (range_set is not None) == (kind == "window"):
+                    assert report.passed, (name, kind)
+                if i > 0:
+                    assert not report.passed, (name, kind, i)
+
+
+def test_verify_pair_decides_non_injective_sum_exactly(graph_d):
+    # U = L_e + L_{e.g} sends the columns g.q and q to the one row e.g.q
+    from partlyfree import left_op, path_from_literal
+
+    b = build_basis(graph_d, 5)
+    u = left_op(b, path_from_literal(graph_d, "e")) + left_op(b, path_from_literal(graph_d, "e.g"))
+    v = left_op(b, path_from_literal(graph_d, "f"))
+    report = _assert_agrees(u, v, {"x", "y"}, 3, {"x": 4, "y": 3}, {"x": 4})
+    assert not report.standard_form and not report.blockwise_exact
+
+
+def test_verify_pair_refuses_non_partial_maps(graph_d):
+    from partlyfree import GraphError, left_op, path_from_literal, verify_pair
+
+    b = build_basis(graph_d, 4)
+    e = left_op(b, path_from_literal(graph_d, "e"))
+    with pytest.raises(GraphError, match="partial map"):
+        verify_pair(2 * e, e, frozenset({"x"}), 2)
+    other = left_op(build_basis(graph_d, 5), path_from_literal(graph_d, "e"))
+    with pytest.raises(GraphError, match="different bases"):
+        verify_pair(e, other, frozenset({"x"}), 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(max_vertices=5, max_edges=8))
+def test_uniform_flags_against_per_vertex_cycle_search(g):
+    # uniform: every vertex reaches one that carries two first-return cycles;
+    # the hyper-reflexivity flag is the same property of the transpose
+    from partlyfree import classify_finite, saturation_vertices, transpose
+
+    def uniform(h):
+        bound = 2 * len(h.vertices)
+        carriers = {x for x in h.vertices if len(first_return_cycles(h, x, bound, limit=2)) == 2}
+        return bool(h.vertices) and all(saturation_vertices(h, x) & carriers for x in h.vertices)
+
+    report = classify_finite(g)
+    assert report.uniform_double_cycle == uniform(g)
+    assert report.hyperreflexive_sufficient == uniform(transpose(g))
