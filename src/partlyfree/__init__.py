@@ -18,6 +18,7 @@ from .fock import (
     export_sparse,
     fourier_coefficients,
     interior_projection,
+    left_map,
     left_op,
     length_projection,
     partial_isometry_report,

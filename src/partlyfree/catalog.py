@@ -665,9 +665,7 @@ def cycle_residue_conforms(n: int, table: dict) -> bool:
     return True
 
 
-def verify_cycle_pattern(
-    n: int, depth: int, seed: int = DEFAULT_SEED, samples: int = 20
-) -> bool:
+def verify_cycle_pattern(n: int, depth: int, seed: int = DEFAULT_SEED) -> bool:
     """Sample elements of the cycle algebra and check the residue pattern."""
     if n < 1 or depth < n:
         raise GraphError("verify_cycle_pattern needs n >= 1 and depth >= n")
@@ -678,7 +676,7 @@ def verify_cycle_pattern(
         elements.append(left_op(basis, w))
     rng = random.Random(seed)
     gen_words = [unit(g, v) for v in g.vertices] + [word(g, (e.name,)) for e in g.edges]
-    for _ in range(samples):
+    for _ in range(20):
         product = left_op(basis, rng.choice(gen_words))
         for _ in range(rng.randint(1, depth - 1)):
             product = product * left_op(basis, rng.choice(gen_words))
@@ -763,9 +761,7 @@ def verify_structure_examples(depth: int, seed: int = DEFAULT_SEED) -> Structure
     return StructureCheck(tuple(checks))
 
 
-def commutant_check(
-    g: Graph, depth: int, seed: int = DEFAULT_SEED, extra_pairs: int = 50
-) -> bool:
+def commutant_check(g: Graph, depth: int, seed: int = DEFAULT_SEED) -> bool:
     """L_a R_b == R_b L_a exactly, for all generators and sampled words,
     and the right regular representation matches the left one of the
     transpose graph under word reversal."""
@@ -779,7 +775,7 @@ def commutant_check(
                 return False
     rng = random.Random(seed)
     words = enumerate_paths(g, min(3, depth))
-    for _ in range(extra_pairs):
+    for _ in range(50):
         a, b = rng.choice(words), rng.choice(words)
         la, rb = left_op(basis, a), right_op(basis, b)
         if la * rb != rb * la:

@@ -21,6 +21,7 @@ from .graphs import (
     GraphError,
     PropertyReport,
     classify_finite,
+    double_cycle_witnesses,
     parse_graph,
     to_dot,
 )
@@ -34,7 +35,6 @@ from .pairs import (
     quiver_pair,
     verify_materialized,
 )
-from .graphs import double_cycle_witnesses
 from .paths import path_from_literal
 
 USAGE_ERROR = 1
@@ -70,14 +70,19 @@ def _resolve(label: str, window: Optional[int] = None) -> _Source:
     return _Source(entry.name, entry.truncate(k), entry)
 
 
+def _cycle_literal(cycle) -> str:
+    """The path literal of a first-return cycle's edge word."""
+    return ".".join(reversed(cycle.word))
+
+
 def _witness_json(report: PropertyReport) -> dict:
     out: dict = {}
     if report.double_cycle_witness is not None:
         w = report.double_cycle_witness
         out["double_cycle"] = {
             "base": w.base,
-            "w1": ".".join(reversed(w.first.word)),
-            "w2": ".".join(reversed(w.second.word)),
+            "w1": _cycle_literal(w.first),
+            "w2": _cycle_literal(w.second),
         }
     witness = report.aperiodic_witness
     if witness is not None and not hasattr(witness, "first"):
@@ -119,8 +124,7 @@ def _report_text(source: _Source, report: PropertyReport) -> str:
     lines += [f"{label:<{width}}{yn(value)}" for label, value in rows]
     w = report.double_cycle_witness
     if w is not None:
-        w1 = ".".join(reversed(w.first.word))
-        w2 = ".".join(reversed(w.second.word))
+        w1, w2 = _cycle_literal(w.first), _cycle_literal(w.second)
         lines.append(f"double-cycle witness at {w.base}: w1 = {w1}, w2 = {w2}")
     witness = report.aperiodic_witness
     if witness is not None and not hasattr(witness, "first"):
@@ -290,8 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, depth_default=6):
-        p.add_argument("--depth", type=int, default=depth_default, help="Fock truncation depth N")
+    def add_common(p):
+        p.add_argument("--depth", type=int, default=6, help="Fock truncation depth N")
         p.add_argument("--cap", type=int, default=2_000_000, help="basis dimension cap")
         p.add_argument("--window", type=int, default=None, help="family window override K")
 

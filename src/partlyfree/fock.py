@@ -21,6 +21,7 @@ always stated against the interior projections E_m (onto paths of length
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
@@ -73,21 +74,21 @@ def build_basis(g: Graph, depth: int, cap: int = DEFAULT_BASIS_CAP) -> FockBasis
         raise GraphError("depth must be >= 0")
     # count level by level before materializing, so a runaway graph is
     # refused without first exhausting memory
-    count = len(g.vertices)
+    count = 0
     level = {v: 1 for v in g.vertices}
-    for _ in range(depth):
+    for _ in range(depth + 1):
+        count += sum(level.values())
+        if count > cap:
+            raise BasisCapError(
+                f"truncation needs more than {cap} basis paths; "
+                "lower the depth or raise the cap"
+            )
         nxt: dict[str, int] = {}
         for v, n in level.items():
             for e in g.out_edges(v):
                 nxt[e.dst] = nxt.get(e.dst, 0) + n
         if not nxt:
             break
-        count += sum(nxt.values())
-        if count > cap:
-            raise BasisCapError(
-                f"truncation needs more than {cap} basis paths; "
-                "lower the depth or raise the cap"
-            )
         level = nxt
     paths = tuple(enumerate_paths(g, depth))
     return FockBasis(g, depth, paths)
@@ -192,16 +193,27 @@ class SparseOp:
         return f"SparseOp(dim={self.basis.dim}, nnz={self.nnz})"
 
 
+def left_map(b: FockBasis, w: Path) -> dict[int, int]:
+    """The truncated L_w as its 0/1 partial map col -> row of basis
+    ordinals: v |-> wv for every path v with range source(w) and
+    |wv| <= N.  A sum of L_w over distinct sources is the union of the
+    maps, since their columns are disjoint."""
+    _check_path(b.graph, w)
+    index = b.index
+    out = {}
+    # the basis is ordered by length, so the paths short enough to extend
+    # by w form a prefix
+    for j, v in enumerate(b.paths[: bisect_right(b.paths, b.depth - len(w), key=len)]):
+        image = compose(w, v)
+        if image is not None:
+            out[j] = index[image]
+    return out
+
+
 def left_op(b: FockBasis, w: Path) -> SparseOp:
     """The truncated left creation operator L_w (P_x for a unit)."""
-    _check_path(b.graph, w)
     one = Fraction(1)
-    entries = {}
-    for j, v in enumerate(b.paths):
-        image = compose(w, v)
-        if image is not None and len(image) <= b.depth:
-            entries[(b.ordinal(image), j)] = one
-    return SparseOp(b, entries)
+    return SparseOp(b, {(row, col): one for col, row in left_map(b, w).items()})
 
 
 def right_op(b: FockBasis, w: Path) -> SparseOp:

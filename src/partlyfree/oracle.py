@@ -19,11 +19,11 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
-from .fock import build_basis, length_projection
+from .fock import FockBasis, SparseOp, build_basis, left_op, length_projection
 from .graphs import Edge, Graph, double_cycle_witnesses
-from .pairs import Summand, sum_left_ops
+from .pairs import Summand
 from .paths import Path, enumerate_paths, is_left_divisor
 
 DEFAULT_SEED = 1729
@@ -106,6 +106,15 @@ def agreement_run(
                 + ";".join(f"{e.name}:{e.src}->{e.dst}" for e in g.edges)
             )
     return AgreementReport(count, tuple(disagreements))
+
+
+def sum_left_ops(b: FockBasis, summands: Sequence[Summand]) -> SparseOp:
+    """The truncated matrix of sum_k L_{w_k} over the summand words, the
+    ``SparseOp`` reference for the partial maps of ``pairs.materialize``."""
+    out = SparseOp.zero(b)
+    for s in summands:
+        out = out + left_op(b, s.word)
+    return out
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .fock import FockBasis, SparseOp, left_op
+from .fock import FockBasis, left_map
 from .graphs import (
     DoubleCycleWitness,
     Graph,
@@ -290,24 +290,22 @@ def construct_pair_infinite_path(family: str, window: int) -> FormalIsometryPair
 
 @dataclass(frozen=True)
 class MaterializedPair:
-    u: SparseOp
-    v: SparseOp
+    """U and V on a truncated Fock space, each as its 0/1 partial map
+    col -> row of basis ordinals (``SparseOp`` sums of ``left_op`` are the
+    test reference), with the interior level and per-summand levels."""
+
+    u: dict[int, int]
+    v: dict[int, int]
     level: int            # depth minus the longest summand word; < 0 means empty interior
     u_levels: dict[str, int]
     v_levels: dict[str, int]
     pair: FormalIsometryPair
-
-
-def sum_left_ops(b: FockBasis, summands: Sequence[Summand]) -> SparseOp:
-    """The truncated matrix of sum_k L_{w_k} over the summand words."""
-    out = SparseOp.zero(b)
-    for s in summands:
-        out = out + left_op(b, s.word)
-    return out
+    basis: FockBasis
 
 
 def materialize(pair: FormalIsometryPair, b: FockBasis) -> MaterializedPair:
-    """Sum the truncated L_w matrices of both operators.
+    """Build the partial maps of U and V as unions of the ``left_map`` of
+    their summand words; the columns are disjoint because the sources are.
 
     A word longer than the depth materializes as the zero block.  On the
     window of a built-in countable family this is expected (the window
@@ -321,8 +319,15 @@ def materialize(pair: FormalIsometryPair, b: FockBasis) -> MaterializedPair:
         )
     u_levels = {s.source: b.depth - len(s.word) for s in pair.u_summands}
     v_levels = {s.source: b.depth - len(s.word) for s in pair.v_summands}
-    u, v = sum_left_ops(b, pair.u_summands), sum_left_ops(b, pair.v_summands)
-    return MaterializedPair(u, v, b.depth - maxlen, u_levels, v_levels, pair)
+    u: dict[int, int] = {}
+    v: dict[int, int] = {}
+    for h, summands in ((u, pair.u_summands), (v, pair.v_summands)):
+        for s in summands:
+            h.update(left_map(b, s.word))
+    return MaterializedPair(u, v, b.depth - maxlen, u_levels, v_levels, pair, b)
+
+
+EXACTNESS_NOTE = "all identities checked in exact rational arithmetic (zero tolerance)"
 
 
 @dataclass(frozen=True)
@@ -343,24 +348,21 @@ class VerificationReport:
     nonzero: bool
     orthogonal: bool
     initial_projections_match: bool
-    blockwise_exact: Optional[bool]
+    blockwise_exact: bool
     range_condition: bool
     standard_form: bool
     messages: tuple[str, ...]
-    exactness_note: str = "all identities checked in exact rational arithmetic (zero tolerance)"
 
     @property
     def passed(self) -> bool:
-        checks = [
+        return all((
             self.nonzero,
             self.orthogonal,
             self.initial_projections_match,
+            self.blockwise_exact,
             self.range_condition,
             self.standard_form,
-        ]
-        if self.blockwise_exact is not None:
-            checks.append(self.blockwise_exact)
-        return all(checks)
+        ))
 
     def lines(self) -> list[str]:
         def mark(ok):
@@ -371,59 +373,41 @@ class VerificationReport:
             f"U and V are nonzero                     {mark(self.nonzero)}",
             f"U*V == 0 (full truncated space)         {mark(self.orthogonal)}",
             f"U*U == V*V == sum P_x  (modulo E_m)     {mark(self.initial_projections_match)}",
+            f"blockwise initial projections (exact)   {mark(self.blockwise_exact)}",
+            f"UU* <= U*U and VV* <= V*V (modulo E_m)  {mark(self.range_condition)}",
+            f"standard form of initial projections    {mark(self.standard_form)}",
         ]
-        if self.blockwise_exact is not None:
-            out.append(f"blockwise initial projections (exact)   {mark(self.blockwise_exact)}")
-        out.append(f"UU* <= U*U and VV* <= V*V (modulo E_m)  {mark(self.range_condition)}")
-        out.append(f"standard form of initial projections    {mark(self.standard_form)}")
         for msg in self.messages:
             out.append(f"  note: {msg}")
-        out.append(self.exactness_note)
+        out.append(EXACTNESS_NOTE)
         return out
 
 
-def _partial_map(op: SparseOp) -> dict[int, int]:
-    """The matrix of a sum of L_w over distinct sources as its map col -> row."""
-    f: dict[int, int] = {}
-    for (row, col), value in op.entries.items():
-        if value != 1 or col in f:
-            raise GraphError("operator is not a 0/1 partial map of basis paths")
-        f[col] = row
-    return f
-
-
-def verify_pair(
-    u: SparseOp,
-    v: SparseOp,
-    initial_set: frozenset[str],
-    level: int,
-    u_levels: Optional[dict[str, int]] = None,
-    v_levels: Optional[dict[str, int]] = None,
-    range_set: Optional[frozenset[str]] = None,
-) -> VerificationReport:
+def verify_pair(mat: MaterializedPair) -> VerificationReport:
     """Check the defining identities of a partly-free witness pair.
+
+    With m the interior level and I the pair's initial set:
 
     (a) U*V == 0 on the full truncated space (orthogonality has no
         boundary defect for left-factor-free words);
-    (b) U*U == V*V == sum_{x in initial_set} P_x, compressed to E_level;
-        with summand levels also the exact blockwise identity;
+    (b) U*U == V*V == sum_{x in I} P_x, compressed to E_m, and the exact
+        blockwise identity U*U == sum_k P_{x_k} E_{N - |u_k|} (likewise V);
     (c) UU* <= U*U and VV* <= V*V as containment of 0/1 diagonal
-        supports after compressing to E_level; for windowed
-        infinite-path pairs ``range_set`` names the vertex set whose
-        projection plays the role of the full initial projection, since
-        a window sees only finitely many of the infinitely many summands;
-    (d) both operators pass the partial-isometry standard-form check.
+        supports after compressing to E_m; on the window of a built-in
+        countable family (``graph.family``) the projection onto all of its
+        vertices plays the role of the full initial projection, since a
+        window sees only finitely many of the infinitely many summands;
+    (d) both initial projections have the standard form sum_x P_x E_{m_x}
+        over the summand sources whose words fit the depth.
 
-    U and V are read as partial maps f, g of basis paths (``GraphError``
-    if either is not one, or the bases differ), and each identity is
+    U and V are the partial maps f, g of ``mat``, and each identity is
     decided exactly with integers and sets: U*V == 0 iff f and g have
     disjoint ranges; U*U is [f(i) == f(j)], a projection iff f is
     injective; UU* is the diagonal of the fiber sizes of f.  ``SparseOp``
     products and ``partial_isometry_report`` are the test reference.
     """
-    b = u.basis
-    u._check_same_basis(v)
-    unknown = set(initial_set).union(range_set or ()) - set(b.graph.vertices)
+    b, level, initial_set = mat.basis, mat.level, mat.pair.initial_set
+    unknown = initial_set - set(b.graph.vertices)
     if unknown:
         raise GraphError(f"unknown vertex {min(unknown)!r}")
     lengths = [len(p) for p in b.paths]
@@ -437,12 +421,11 @@ def verify_pair(
             lengths[i] <= levels.get(targets[i], -1) for i in members
         )
 
-    def read(op: SparseOp):
-        """Read ``op`` once as its partial map h; return h, whether h is
-        injective, the supports of E U*U E (dom h in E) and of E UU* E
-        (range h in E), each None when that is no 0/1 diagonal, and the
-        vertex set of the standard form of U*U, None when it has none."""
-        h = _partial_map(op)
+    def read(h: dict[int, int]):
+        """Return whether the partial map h is injective, the supports of
+        E U*U E (dom h in E) and of E UU* E (range h in E), each None when
+        that is no 0/1 diagonal, and the vertex set of the standard form of
+        U*U, None when it has none."""
         fibers = Counter(h.values())
         injective = len(fibers) == len(h)
         initial = {i for i in h if lengths[i] <= level}
@@ -455,10 +438,11 @@ def verify_pair(
         for i in h:
             top[targets[i]] = max(top.get(targets[i], 0), lengths[i])
         vertex_set = frozenset(top) if injective and is_block(h, top) else None
-        return h, injective, initial, ranges, vertex_set
+        return injective, initial, ranges, vertex_set
 
-    f, injective_u, s_u, lhs_u, vertex_set_u = read(u)
-    g, injective_v, s_v, lhs_v, vertex_set_v = read(v)
+    f, g = mat.u, mat.v
+    injective_u, s_u, lhs_u, vertex_set_u = read(f)
+    injective_v, s_v, lhs_v, vertex_set_v = read(g)
     messages: list[str] = []
     nonzero = bool(f) and bool(g)
     if not nonzero:
@@ -472,18 +456,16 @@ def verify_pair(
     if not initial_match:
         messages.append("compressed initial projections disagree")
 
-    blockwise: Optional[bool] = None
-    if u_levels is not None and v_levels is not None:
-        blockwise = injective_u and injective_v and is_block(f, u_levels) and is_block(g, v_levels)
-        if not blockwise:
-            messages.append("blockwise initial projection identity fails")
+    blockwise = (
+        injective_u and injective_v and is_block(f, mat.u_levels) and is_block(g, mat.v_levels)
+    )
+    if not blockwise:
+        messages.append("blockwise initial projection identity fails")
 
-    if range_set is None:
+    if b.graph.family is None:
         rhs_u, rhs_v = s_u, s_v
     else:
-        rhs_u = rhs_v = {
-            i for i, n in enumerate(lengths) if n <= level and targets[i] in range_set
-        }
+        rhs_u = rhs_v = {i for i, n in enumerate(lengths) if n <= level}
     if lhs_u is None or lhs_v is None or rhs_u is None or rhs_v is None:
         range_condition = False
         messages.append("a range or initial projection is not a 0/1 diagonal")
@@ -492,13 +474,9 @@ def verify_pair(
         if not range_condition:
             messages.append("a range projection escapes the initial projection")
 
-    standard_form = vertex_set_u is not None and vertex_set_v is not None
-    if standard_form and u_levels is not None and v_levels is not None:
-        expected_u = frozenset(x for x, m in u_levels.items() if m >= 0)
-        expected_v = frozenset(x for x, m in v_levels.items() if m >= 0)
-        standard_form = vertex_set_u == expected_u and vertex_set_v == expected_v
-    elif standard_form:
-        standard_form = vertex_set_u <= initial_set and vertex_set_v <= initial_set
+    standard_form = vertex_set_u == {x for x, m in mat.u_levels.items() if m >= 0} and (
+        vertex_set_v == {x for x, m in mat.v_levels.items() if m >= 0}
+    )
     if not standard_form:
         messages.append("standard-form decomposition does not match the predicted vertex set")
 
@@ -516,20 +494,5 @@ def verify_pair(
 
 
 def verify_materialized(pair: FormalIsometryPair, b: FockBasis) -> VerificationReport:
-    """Materialize and verify in one step.
-
-    The check strength comes from the graph, never from the pair's own
-    mode field: only the window of a built-in countable family compares
-    ranges against all of its vertices.
-    """
-    mat = materialize(pair, b)
-    range_set = frozenset(b.graph.vertices) if b.graph.family is not None else None
-    return verify_pair(
-        mat.u,
-        mat.v,
-        pair.initial_set,
-        mat.level,
-        u_levels=mat.u_levels,
-        v_levels=mat.v_levels,
-        range_set=range_set,
-    )
+    """Materialize and verify in one step."""
+    return verify_pair(materialize(pair, b))

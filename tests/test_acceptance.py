@@ -96,10 +96,14 @@ def test_criterion_2_example_pair_identity():
         b = build_basis(g, 8)
         pair = example_pair_partly_free_D(g)
         mat = materialize(pair, b)
+        u = oracle.sum_left_ops(b, pair.u_summands)
+        v = oracle.sum_left_ops(b, pair.v_summands)
+        assert mat.u == {c: r for (r, c) in u.entries}
+        assert mat.v == {c: r for (r, c) in v.entries}
         e6 = length_projection(b, 6)
-        assert (mat.u.adjoint() * mat.v).is_zero()
-        assert mat.u.adjoint() * mat.u == e6
-        assert mat.v.adjoint() * mat.v == e6
+        assert (u.adjoint() * v).is_zero()
+        assert u.adjoint() * u == e6
+        assert v.adjoint() * v == e6
     assert t.elapsed < 5.0
     _report(2, t, "U = L_e^2 + L_fL_g pair satisfies U*V == 0 and U*U == V*V == E_6 at N = 8")
 
@@ -111,9 +115,13 @@ def test_criterion_3_cycle_inf_window():
         g = family_truncation("cycle_inf", 17)
         b = build_basis(g, 8)
         mat = materialize(pair, b)
-        uu = mat.u.adjoint() * mat.u
-        vv = mat.v.adjoint() * mat.v
-        assert (mat.u.adjoint() * mat.v).is_zero()
+        u = oracle.sum_left_ops(b, pair.u_summands)
+        v = oracle.sum_left_ops(b, pair.v_summands)
+        assert mat.u == {c: r for (r, c) in u.entries}
+        assert mat.v == {c: r for (r, c) in v.entries}
+        uu = u.adjoint() * u
+        vv = v.adjoint() * v
+        assert (u.adjoint() * v).is_zero()
         # sum_{k<=8} P_{x_k} E_m with the per-summand interior levels
         expected_u = SparseOp.zero(b)
         expected_v = SparseOp.zero(b)
@@ -259,7 +267,13 @@ def test_criterion_9_standard_form():
         for g, pair, depth in cases:
             b = build_basis(g, depth)
             mat = materialize(pair, b)
-            for op, levels in ((mat.u, mat.u_levels), (mat.v, mat.v_levels)):
+            sides = (
+                (pair.u_summands, mat.u, mat.u_levels),
+                (pair.v_summands, mat.v, mat.v_levels),
+            )
+            for summands, partial_map, levels in sides:
+                op = oracle.sum_left_ops(b, summands)
+                assert partial_map == {c: r for (r, c) in op.entries}
                 rep = partial_isometry_report(op)
                 assert rep.is_partial_isometry and rep.failure is None
                 predicted = frozenset(x for x, m in levels.items() if m >= 0)

@@ -289,14 +289,18 @@ def test_commutant_negative_control(two_loops):
 def test_example_pair_matches_formula(graph_d):
     pair = example_pair_partly_free_D()
     b = build_basis(graph_d, 8)
-    from partlyfree import materialize
+    from partlyfree import materialize, oracle
 
     mat = materialize(pair, b)
+    u = oracle.sum_left_ops(b, pair.u_summands)
+    v = oracle.sum_left_ops(b, pair.v_summands)
+    assert mat.u == {c: r for (r, c) in u.entries}
+    assert mat.v == {c: r for (r, c) in v.entries}
     e = word(graph_d, ("e",))
     f = word(graph_d, ("f",))
     g_edge = word(graph_d, ("g",))
     le, lf, lg = left_op(b, e), left_op(b, f), left_op(b, g_edge)
-    assert mat.u == le * le + lf * lg
-    assert mat.v == le * lg + lf * le
-    for (_, v) in mat.u.entries.items():
-        assert v == 1
+    assert u == le * le + lf * lg
+    assert v == le * lg + lf * le
+    for (_, value) in u.entries.items():
+        assert value == 1

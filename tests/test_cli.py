@@ -299,3 +299,23 @@ def test_depth_cap_guard(capsys):
     )
     assert code == 1
     assert "cap" in err
+
+
+@pytest.mark.parametrize(
+    "text,depth,cap",
+    [
+        # partly_free_D: its two units alone exceed the cap at depth 0
+        ("vertex x\nvertex y\nedge e x x\nedge f x y\nedge g y x\n", 0, 1),
+        # no edges: the units are every level there is
+        ("vertex x\nvertex y\nvertex z\n", 4, 2),
+    ],
+    ids=["partly_free_D-depth0", "edgeless-depth4"],
+)
+def test_cap_counts_the_units(tmp_path, capsys, text, depth, cap):
+    path = tmp_path / "units.graph"
+    path.write_text(text)
+    code, out, err = run(
+        capsys, "fock", str(path), "--depth", str(depth), "--cap", str(cap), "--op", "P:x"
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "cap" in err

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -25,7 +26,7 @@ from partlyfree import (
     verify_pair,
     word,
 )
-from partlyfree import catalog
+from partlyfree import catalog, oracle
 from partlyfree.graphs import CycleWitness
 
 from conftest import cycle_graph
@@ -85,11 +86,13 @@ def test_unital_pair_on_d(graph_d):
     assert pair.initial_set == frozenset(graph_d.vertices)
     b = build_basis(graph_d, 8)
     mat = materialize(pair, b)
+    u = oracle.sum_left_ops(b, pair.u_summands)
+    assert mat.u == {c: r for (r, c) in u.entries}
     report = verify_materialized(pair, b)
     assert report.passed
     # isometry up to the interior: U*U compressed equals E_m
     em = length_projection(b, mat.level)
-    assert em * (mat.u.adjoint() * mat.u) * em == em
+    assert em * (u.adjoint() * u) * em == em
 
 
 def test_unital_rejects_cycle(c3):
@@ -129,9 +132,11 @@ def test_quiver_pair_two_loops(two_loops):
     assert _summand_literals(pair.v_summands) == [("x", "f")]
     b = build_basis(two_loops, 4)
     mat = materialize(pair, b)
+    u = oracle.sum_left_ops(b, pair.u_summands)
+    assert mat.u == {c: r for (r, c) in u.entries}
     report = verify_materialized(pair, b)
     assert report.passed
-    uu = mat.u.adjoint() * mat.u
+    uu = u.adjoint() * u
     assert uu == length_projection(b, 3)  # P_x = I on this graph
 
 
@@ -205,9 +210,12 @@ def test_materialize_rejects_small_depth(graph_d):
 def test_materialize_window_allows_boundary_zeros():
     pair = construct_pair_infinite_path("cycle_inf", 17)
     g = catalog.family_truncation("cycle_inf", 17)
-    mat = materialize(pair, build_basis(g, 8))
+    b = build_basis(g, 8)
+    mat = materialize(pair, b)
+    u = oracle.sum_left_ops(b, pair.u_summands)
+    assert mat.u == {c: r for (r, c) in u.entries}
     assert mat.level == -1
-    assert not mat.u.is_zero()
+    assert not u.is_zero()
 
 
 # ---------------------------------------------------------------- verify
@@ -234,21 +242,12 @@ def test_verify_detects_swapped_summand(graph_d):
 
 
 def test_verify_detects_wrong_initial_set(graph_d):
-    pair = quiver_pair(graph_d)
+    # the quiver pair at x claims y as well
+    pair = dataclasses.replace(quiver_pair(graph_d), initial_set=frozenset({"x", "y"}))
     b = build_basis(graph_d, 5)
-    mat = materialize(pair, b)
-    report = verify_pair(mat.u, mat.v, frozenset({"x", "y"}), mat.level)
+    report = verify_pair(materialize(pair, b))
     assert not report.initial_projections_match
     assert not report.passed
-
-
-def test_verify_pair_without_summand_data(two_loops):
-    pair = quiver_pair(two_loops)
-    b = build_basis(two_loops, 5)
-    mat = materialize(pair, b)
-    report = verify_pair(mat.u, mat.v, pair.initial_set, mat.level)
-    assert report.blockwise_exact is None
-    assert report.passed
 
 
 def test_verify_blockwise_exact_on_window():
@@ -256,7 +255,9 @@ def test_verify_blockwise_exact_on_window():
     g = catalog.family_truncation("cycle_inf", 17)
     b = build_basis(g, 8)
     mat = materialize(pair, b)
-    uu = mat.u.adjoint() * mat.u
+    u = oracle.sum_left_ops(b, pair.u_summands)
+    assert mat.u == {c: r for (r, c) in u.entries}
+    uu = u.adjoint() * u
     expected = SparseOp.zero(b)
     for src, lvl in mat.u_levels.items():
         expected = expected + sum_vertex_projection(b, {src}) * length_projection(b, lvl)

@@ -1,6 +1,7 @@
 """Cross-cutting property tests that pit independent computations
 against each other on randomly generated graphs."""
 
+import dataclasses
 import itertools
 
 from hypothesis import given, settings
@@ -23,7 +24,7 @@ from partlyfree import (
 )
 from partlyfree.catalog import builtin
 from partlyfree import catalog
-from partlyfree.pairs import sum_left_ops
+from partlyfree.oracle import sum_left_ops
 
 from test_paths import graph_and_walk, graphs
 
@@ -129,13 +130,11 @@ def test_unit_laws_on_walks(data):
 
 
 def test_zero_pair_does_not_verify(graph_d):
-    from partlyfree import FormalIsometryPair, Summand, verify_pair
-    from partlyfree.fock import SparseOp
+    from partlyfree import FormalIsometryPair, materialize, verify_pair
 
     basis = build_basis(graph_d, 4)
-    report = verify_pair(
-        SparseOp.zero(basis), SparseOp.zero(basis), frozenset(), -1
-    )
+    pair = FormalIsometryPair("double-cycle", (), (), frozenset())
+    report = verify_pair(materialize(pair, basis))
     assert not report.nonzero and not report.passed
 
 
@@ -158,7 +157,7 @@ def test_left_ops_multiply_like_words_exhaustively(graph_d):
 # ------------------------------------------- verify_pair against SparseOp
 
 
-def _reference_checks(u, v, initial_set, level, u_levels=None, v_levels=None, range_set=None):
+def _reference_checks(u, v, initial_set, level, u_levels, v_levels, range_set):
     """The identities verify_pair decides, computed instead with SparseOp
     products, compressions, diagonal supports and partial_isometry_report."""
     from partlyfree import SparseOp, length_projection, partial_isometry_report
@@ -168,21 +167,19 @@ def _reference_checks(u, v, initial_set, level, u_levels=None, v_levels=None, ra
     em = length_projection(b, level)
     uu, vv = u.adjoint() * u, v.adjoint() * v
     uu_m, vv_m = em * uu * em, em * vv * em
+
+    def block(levels):
+        out = SparseOp.zero(b)
+        for x, m in levels.items():
+            out = out + sum_vertex_projection(b, {x}) * length_projection(b, m)
+        return out
+
     checks = {
         "nonzero": not u.is_zero() and not v.is_zero(),
         "orthogonal": (u.adjoint() * v).is_zero(),
         "initial_projections_match": uu_m == vv_m == sum_vertex_projection(b, initial_set) * em,
-        "blockwise_exact": None,
+        "blockwise_exact": uu == block(u_levels) and vv == block(v_levels),
     }
-    if u_levels is not None and v_levels is not None:
-
-        def block(levels):
-            out = SparseOp.zero(b)
-            for x, m in levels.items():
-                out = out + sum_vertex_projection(b, {x}) * length_projection(b, m)
-            return out
-
-        checks["blockwise_exact"] = uu == block(u_levels) and vv == block(v_levels)
     if range_set is None:
         rhs_u, rhs_v = uu_m.diagonal_01_support(), vv_m.diagonal_01_support()
     else:
@@ -193,29 +190,55 @@ def _reference_checks(u, v, initial_set, level, u_levels=None, v_levels=None, ra
         None not in (lhs_u, lhs_v, rhs_u, rhs_v) and lhs_u <= rhs_u and lhs_v <= rhs_v
     )
     ru, rv = partial_isometry_report(u), partial_isometry_report(v)
-    standard = all(r.is_partial_isometry and r.failure is None for r in (ru, rv))
-    if standard and u_levels is not None and v_levels is not None:
-        standard = ru.vertex_set == {x for x, m in u_levels.items() if m >= 0} and (
-            rv.vertex_set == {x for x, m in v_levels.items() if m >= 0}
-        )
-    elif standard:
-        standard = ru.vertex_set <= initial_set and rv.vertex_set <= initial_set
-    checks["standard_form"] = standard
+    checks["standard_form"] = (
+        all(r.is_partial_isometry and r.failure is None for r in (ru, rv))
+        and ru.vertex_set == {x for x, m in u_levels.items() if m >= 0}
+        and rv.vertex_set == {x for x, m in v_levels.items() if m >= 0}
+    )
     return checks
 
 
-def _assert_agrees(u, v, initial_set, level, u_levels=None, v_levels=None, range_set=None):
-    from partlyfree import verify_pair
+def _assert_agrees(su, sv, initial_set, b):
+    """Materialize the pair (su, sv) over b, check its partial maps and
+    levels against SparseOp sums, and compare every report boolean with
+    the reference; ranges are checked against all vertices exactly on a
+    family window."""
+    from partlyfree import FormalIsometryPair, materialize, verify_pair
 
-    args = (u, v, frozenset(initial_set), level, u_levels, v_levels, range_set)
-    report = verify_pair(*args)
-    expected = _reference_checks(*args)
+    # the mode does not enter the verification
+    pair = FormalIsometryPair("double-cycle", tuple(su), tuple(sv), frozenset(initial_set))
+    mat = materialize(pair, b)
+    u, v = sum_left_ops(b, su), sum_left_ops(b, sv)
+    assert mat.u == {c: r for (r, c) in u.entries}
+    assert mat.v == {c: r for (r, c) in v.entries}
+    level = b.depth - max((len(s.word) for s in su + sv), default=0)
+    u_levels, v_levels = _levels(su, b.depth), _levels(sv, b.depth)
+    assert (mat.level, mat.u_levels, mat.v_levels) == (level, u_levels, v_levels)
+    range_set = None if b.graph.family is None else frozenset(b.graph.vertices)
+    report = verify_pair(mat)
+    expected = _reference_checks(u, v, pair.initial_set, level, u_levels, v_levels, range_set)
     assert {name: getattr(report, name) for name in expected} == expected
     return report
 
 
 def _levels(summands, depth):
     return {s.source: depth - len(s.word) for s in summands}
+
+
+def _assert_left_ops_compose(b):
+    """left_op(b, w) equals the matrix of v -> wv built with paths.compose,
+    for every word w of length <= 3."""
+    from fractions import Fraction
+
+    from partlyfree import SparseOp, compose, enumerate_paths
+
+    for w in enumerate_paths(b.graph, 3):
+        entries = {}
+        for j, p in enumerate(b.paths):
+            image = compose(w, p)
+            if image is not None and len(image) <= b.depth:
+                entries[(b.index[image], j)] = Fraction(1)
+        assert left_op(b, w) == SparseOp(b, entries), w
 
 
 def _random_summands(rng, g):
@@ -241,22 +264,22 @@ def test_verify_pair_agrees_with_sparse_products_on_random_sums(rng):
     from partlyfree.oracle import random_graph
 
     g = random_graph(rng, max_vertices=4, max_edges=6)
-    depth = rng.randint(0, 4)
+    if rng.random() < 0.5:
+        # tagged as a family window: words may outrun the depth, and ranges
+        # are checked against all vertices
+        g = dataclasses.replace(g, family=("cycle_inf", len(g.vertices)))
+    su, sv = _random_summands(rng, g), _random_summands(rng, g)
+    longest = max((len(s.word) for s in su + sv), default=0)
+    depth = rng.randint(0 if g.family else longest, 4)
     try:
         b = build_basis(g, depth, cap=1500)
     except BasisCapError:
         return
-    su, sv = _random_summands(rng, g), _random_summands(rng, g)
-    with_levels = rng.random() < 0.5
-    _assert_agrees(
-        sum_left_ops(b, su),
-        sum_left_ops(b, sv),
-        rng.choice([{s.source for s in su}, set(g.vertices), set(rng.sample(g.vertices, 1))]),
-        rng.randint(-1, depth),
-        _levels(su, depth) if with_levels else None,
-        _levels(sv, depth) if with_levels else None,
-        rng.choice([None, frozenset(g.vertices), frozenset(rng.sample(g.vertices, 1))]),
+    _assert_left_ops_compose(b)
+    initial_set = rng.choice(
+        [{s.source for s in su}, set(g.vertices), set(rng.sample(g.vertices, 1))]
     )
+    _assert_agrees(su, sv, initial_set, b)
 
 
 def _constructed_pair(name, kind):
@@ -301,44 +324,32 @@ def _lies(g, us, vs):
 def test_verify_pair_agrees_with_sparse_products_on_pairs_and_lies(name, kind):
     g, pair = _constructed_pair(name, kind)
     depth = pair.max_word_length() + 1
-    b = build_basis(g, depth)
     us, vs = list(pair.u_summands), list(pair.v_summands)
     cases = [(us, vs)] + _lies(g, us, vs)
-    for i, (su, sv) in enumerate(cases):
-        u, v = sum_left_ops(b, su), sum_left_ops(b, sv)
-        level = depth - max(len(s.word) for s in su + sv)
-        for range_set in (None, frozenset(g.vertices)):
-            for levels in (None, (_levels(su, depth), _levels(sv, depth))):
-                report = _assert_agrees(
-                    u, v, pair.initial_set, level, *(levels or (None, None)), range_set
-                )
-                if i == 0 and (range_set is not None) == (kind == "window"):
-                    assert report.passed, (name, kind)
-                if i > 0:
-                    assert not report.passed, (name, kind, i)
+    # each graph also untagged and tagged as a family window, which
+    # switches the range check between the initial and the full vertex set
+    for family in (None, ("cycle_inf", 9)):
+        b = build_basis(dataclasses.replace(g, family=family), depth)
+        for i, (su, sv) in enumerate(cases):
+            report = _assert_agrees(su, sv, pair.initial_set, b)
+            if i == 0 and (family is not None) == (kind == "window"):
+                assert report.passed, (name, kind)
+            if i > 0:
+                assert not report.passed, (name, kind, i)
 
 
 def test_verify_pair_decides_non_injective_sum_exactly(graph_d):
     # U = L_e + L_{e.g} sends the columns g.q and q to the one row e.g.q
-    from partlyfree import left_op, path_from_literal
+    from partlyfree import path_from_literal
 
     b = build_basis(graph_d, 5)
-    u = left_op(b, path_from_literal(graph_d, "e")) + left_op(b, path_from_literal(graph_d, "e.g"))
-    v = left_op(b, path_from_literal(graph_d, "f"))
-    report = _assert_agrees(u, v, {"x", "y"}, 3, {"x": 4, "y": 3}, {"x": 4})
+    su = [
+        Summand("x", path_from_literal(graph_d, "e")),
+        Summand("y", path_from_literal(graph_d, "e.g")),
+    ]
+    sv = [Summand("x", path_from_literal(graph_d, "f"))]
+    report = _assert_agrees(su, sv, {"x", "y"}, b)
     assert not report.standard_form and not report.blockwise_exact
-
-
-def test_verify_pair_refuses_non_partial_maps(graph_d):
-    from partlyfree import GraphError, left_op, path_from_literal, verify_pair
-
-    b = build_basis(graph_d, 4)
-    e = left_op(b, path_from_literal(graph_d, "e"))
-    with pytest.raises(GraphError, match="partial map"):
-        verify_pair(2 * e, e, frozenset({"x"}), 2)
-    other = left_op(build_basis(graph_d, 5), path_from_literal(graph_d, "e"))
-    with pytest.raises(GraphError, match="different bases"):
-        verify_pair(e, other, frozenset({"x"}), 2)
 
 
 @settings(max_examples=60, deadline=None)
