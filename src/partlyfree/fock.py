@@ -16,18 +16,26 @@ Truncation semantics: images that would exceed length N map to 0.
 Identities that hold on the infinite space only up to this boundary are
 always stated against the interior projections E_m (onto paths of length
 <= m) rather than by comparing raw matrices.
+
+The basis is a trie of flat integer arrays (:class:`FockBasis`), one
+entry per path, so building it and applying L_w and R_w to it create no
+:class:`Path` objects; the paths themselves are built only when read,
+for literals, ``SparseOp`` work and the Fourier tables.
 """
 
 from __future__ import annotations
 
 import hashlib
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate, chain
 from typing import Iterable, Mapping, Optional
 
 from .graphs import Graph, GraphError
-from .paths import Path, compose, enumerate_paths, literal, unit
+from .paths import Path, enumerate_paths, literal, unit
 
 DEFAULT_BASIS_CAP = 2_000_000
 
@@ -38,26 +46,79 @@ class BasisCapError(GraphError):
 
 @dataclass
 class FockBasis:
-    """Ordered basis of all paths of length <= depth, with an index map."""
+    """Ordered basis of all paths of length <= depth, stored as a trie.
+
+    Ordinals follow :func:`paths.enumerate_paths`, by (length, word,
+    source): first the units in vertex-name order, then the one-edge paths
+    in edge-name order.  At every level >= 1 the children of a path (the
+    path followed by one more edge) are contiguous, in the order of their
+    parents, and siblings are in edge-name order.  So the child of a path
+    i of length >= 1 along e is ``first_child[i]`` plus the rank of e among
+    the out-edges of its source, and the child of a unit along e is the
+    one-edge path e (:meth:`child`).
+
+    * ``vertices``: the vertex names in sorted order; a vertex id is a
+      position in it, which is also the ordinal of its unit;
+    * ``offsets[k]``: the ordinal of the first path of length k, for
+      k = 0..depth + 1, so ``offsets[depth + 1] == dim``;
+    * ``target[i]``: the vertex id of the range of path i;
+    * ``first_child[i]``: for 1 <= len(path i) < depth, the ordinal of its
+      first child (units hold an unused 0).
+
+    ``paths`` is a cached view: the tuple of :class:`Path` objects in
+    ordinal order, built on first read and then kept.
+    """
 
     graph: Graph
     depth: int
-    paths: tuple[Path, ...]
-    index: dict = field(repr=False, compare=False, default_factory=dict)
+    vertices: tuple[str, ...]
+    offsets: tuple[int, ...]
+    target: array = field(repr=False)
+    first_child: array = field(repr=False)
 
     def __post_init__(self):
-        if not self.index:
-            self.index = {p: i for i, p in enumerate(self.paths)}
+        self.vertex_id = {v: i for i, v in enumerate(self.vertices)}
+        # edge name -> (source id, rank among the source's out-edges,
+        # ordinal of the one-edge path)
+        rank = {e.name: r for v in self.vertices for r, e in enumerate(self.graph.out_edges(v))}
+        self._edge = {
+            e.name: (self.vertex_id[e.src], rank[e.name], self.offsets[1] + k)
+            for k, e in enumerate(sorted(self.graph.edges))
+        }
 
     @property
     def dim(self) -> int:
-        return len(self.paths)
+        return len(self.target)
+
+    @cached_property
+    def paths(self) -> tuple[Path, ...]:
+        return tuple(enumerate_paths(self.graph, self.depth))
+
+    def upto(self, m: int) -> int:
+        """Number of basis paths of length <= m; they are the ordinals below it."""
+        return self.offsets[min(m, self.depth) + 1] if m >= 0 else 0
+
+    def length(self, i: int) -> int:
+        return bisect_right(self.offsets, i) - 1
+
+    def child(self, i: int, e: str) -> int:
+        """Ordinal of path i followed by edge e; e must start at the range
+        of path i, which must be shorter than the depth."""
+        _, rank, one_edge = self._edge[e]
+        return one_edge if i < self.offsets[1] else self.first_child[i] + rank
 
     def ordinal(self, p: Path) -> int:
-        try:
-            return self.index[p]
-        except KeyError:
-            raise GraphError(f"path {literal(p)} is not in the basis") from None
+        i = self.vertex_id.get(p.source)
+        if i is not None and len(p) <= self.depth:
+            for e in p.edges:
+                step = self._edge.get(e)
+                if step is None or step[0] != self.target[i]:
+                    break
+                i = self.child(i, e)
+            else:
+                if self.vertices[self.target[i]] == p.target:
+                    return i
+        raise GraphError(f"path {literal(p)} is not in the basis")
 
     def basis_hash(self) -> str:
         digest = hashlib.sha256()
@@ -69,29 +130,53 @@ class FockBasis:
 
 
 def build_basis(g: Graph, depth: int, cap: int = DEFAULT_BASIS_CAP) -> FockBasis:
-    """Materialize the depth-N truncation, refusing absurd dimensions."""
+    """Build the depth-N truncation level by level, refusing absurd dimensions.
+
+    The size of each level (the units, then the edges, then the sum of the
+    out-degrees of the previous level's targets) is checked against the
+    cap before the level is allocated, so a runaway graph is refused
+    before memory runs out.  The arrays take at most 12 bytes per path (a
+    4-byte target and an 8-byte first child), about 24 MB at the default
+    cap of 2,000,000 paths; reading ``paths`` adds a few hundred bytes per
+    path on top.
+    """
     if depth < 0:
         raise GraphError("depth must be >= 0")
-    # count level by level before materializing, so a runaway graph is
-    # refused without first exhausting memory
-    count = 0
-    level = {v: 1 for v in g.vertices}
-    for _ in range(depth + 1):
-        count += sum(level.values())
+
+    def check(count: int) -> None:
         if count > cap:
             raise BasisCapError(
                 f"truncation needs more than {cap} basis paths; "
                 "lower the depth or raise the cap"
             )
-        nxt: dict[str, int] = {}
-        for v, n in level.items():
-            for e in g.out_edges(v):
-                nxt[e.dst] = nxt.get(e.dst, 0) + n
-        if not nxt:
+
+    vertices = tuple(sorted(g.vertices))
+    vid = {v: i for i, v in enumerate(vertices)}
+    heads = [[vid[e.dst] for e in g.out_edges(v)] for v in vertices]
+    degree = [len(h) for h in heads]
+    check(len(vertices))
+    target = array("i", range(len(vertices)))
+    first_child = array("q", [0]) * len(vertices)
+    offsets = [0, len(target)]
+    for k in range(1, depth + 1):
+        if k == 1:
+            size = len(g.edges)
+        else:
+            # first children of the previous level, which also give the size of this one
+            children = array("q", accumulate(map(degree.__getitem__, level), initial=len(target)))
+            size = children.pop() - len(target)
+            first_child.extend(children)
+        if not size:
             break
-        level = nxt
-    paths = tuple(enumerate_paths(g, depth))
-    return FockBasis(g, depth, paths)
+        check(len(target) + size)
+        if k == 1:
+            level = array("i", (vid[e.dst] for e in sorted(g.edges)))
+        else:
+            level = array("i", chain.from_iterable(map(heads.__getitem__, level)))
+        target.extend(level)
+        offsets.append(len(target))
+    offsets += [len(target)] * (depth + 2 - len(offsets))
+    return FockBasis(g, depth, vertices, tuple(offsets), target, first_child)
 
 
 class SparseOp:
@@ -197,16 +282,21 @@ def left_map(b: FockBasis, w: Path) -> dict[int, int]:
     """The truncated L_w as its 0/1 partial map col -> row of basis
     ordinals: v |-> wv for every path v with range source(w) and
     |wv| <= N.  A sum of L_w over distinct sources is the union of the
-    maps, since their columns are disjoint."""
+    maps, since their columns are disjoint.
+
+    The unit column maps to w itself; every longer column takes |w| child
+    steps along the edges of w, so no path is built or hashed."""
     _check_path(b.graph, w)
-    index = b.index
-    out = {}
-    # the basis is ordered by length, so the paths short enough to extend
-    # by w form a prefix
-    for j, v in enumerate(b.paths[: bisect_right(b.paths, b.depth - len(w), key=len)]):
-        image = compose(w, v)
-        if image is not None:
-            out[j] = index[image]
+    if len(w) > b.depth:
+        return {}
+    s, target, first_child = b.vertex_id[w.source], b.target, b.first_child
+    cols = [i for i in range(b.offsets[1], b.upto(b.depth - len(w))) if target[i] == s]
+    rows = cols
+    for e in w.edges:
+        rank = b._edge[e][1]
+        rows = [first_child[i] + rank for i in rows]
+    out = {s: b.ordinal(w)}
+    out.update(zip(cols, rows))
     return out
 
 
@@ -217,15 +307,25 @@ def left_op(b: FockBasis, w: Path) -> SparseOp:
 
 
 def right_op(b: FockBasis, w: Path) -> SparseOp:
-    """The truncated right-regular operator R_w (Q_x for a unit)."""
+    """The truncated right-regular operator R_w (Q_x for a unit).
+
+    R_w maps the unit at target(w) to w, and v followed by an edge e to
+    R_w v followed by e; so every column's image is one child step from
+    the image of its parent, which has a lower ordinal.  A word longer
+    than the depth gives the zero operator."""
     _check_path(b.graph, w)
+    if len(w) > b.depth:
+        return SparseOp.zero(b)
+    out_edges = [b.graph.out_edges(v) for v in b.vertices]
+    rows = {b.vertex_id[w.target]: b.ordinal(w)}
+    # the parents: columns whose children v still have |vw| <= N
+    for i in range(b.upto(b.depth - len(w) - 1)):
+        image = rows.get(i)
+        if image is not None:
+            for e in out_edges[b.target[i]]:
+                rows[b.child(i, e.name)] = b.child(image, e.name)
     one = Fraction(1)
-    entries = {}
-    for j, v in enumerate(b.paths):
-        image = compose(v, w)
-        if image is not None and len(image) <= b.depth:
-            entries[(b.ordinal(image), j)] = one
-    return SparseOp(b, entries)
+    return SparseOp(b, {(row, col): one for col, row in rows.items()})
 
 
 def _check_path(g: Graph, w: Path) -> None:
@@ -258,16 +358,15 @@ def sum_vertex_projection(b: FockBasis, vertices: Iterable[str]) -> SparseOp:
     for x in vs:
         if not b.graph.has_vertex(x):
             raise GraphError(f"unknown vertex {x!r}")
+    ids = {b.vertex_id[x] for x in vs}
     one = Fraction(1)
-    return SparseOp(b, {(i, i): one for i, p in enumerate(b.paths) if p.target in vs})
+    return SparseOp(b, {(i, i): one for i, t in enumerate(b.target) if t in ids})
 
 
 def length_projection(b: FockBasis, max_length: int) -> SparseOp:
     """E_m: diagonal projection onto paths of length <= m (zero for m < 0)."""
-    if max_length < 0:
-        return SparseOp.zero(b)
     one = Fraction(1)
-    return SparseOp(b, {(i, i): one for i, p in enumerate(b.paths) if len(p) <= max_length})
+    return SparseOp(b, {(i, i): one for i in range(b.upto(max_length))})
 
 
 def interior_projection(b: FockBasis, degree: int) -> SparseOp:
@@ -285,10 +384,10 @@ def fourier_coefficients(a: SparseOp) -> dict[Path, Fraction]:
     columns of the unit vectors, exactly.
     """
     b = a.basis
-    unit_index = {p.source: i for i, p in enumerate(b.paths) if p.is_unit}
     table: dict[Path, Fraction] = {}
-    for w in b.paths:
-        value = a.entries.get((b.ordinal(w), unit_index[w.source]))
+    for i, w in enumerate(b.paths):
+        # the unit at a vertex has the vertex id as its ordinal
+        value = a.entries.get((i, b.vertex_id[w.source]))
         if value:
             table[w] = value
     return table

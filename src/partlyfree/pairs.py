@@ -410,15 +410,22 @@ def verify_pair(mat: MaterializedPair) -> VerificationReport:
     unknown = initial_set - set(b.graph.vertices)
     if unknown:
         raise GraphError(f"unknown vertex {min(unknown)!r}")
-    lengths = [len(p) for p in b.paths]
-    targets = [p.target for p in b.paths]
-    classes = Counter(zip(targets, lengths))
+    target, interior = b.target, b.upto(level)
+    # class sizes: the number of paths of each length at each range vertex id
+    counts = [Counter(target[b.offsets[k]:b.offsets[k + 1]]) for k in range(b.depth + 1)]
+
+    def longest(members) -> dict[int, int]:
+        """Range vertex id -> the greatest member there, which is the
+        longest one, since ordinals grow with length."""
+        cols = sorted(members)
+        return dict(zip(map(target.__getitem__, cols), cols))
 
     def is_block(members, levels: dict[str, int]) -> bool:
         """Are ``members`` exactly the paths p with len(p) <= levels[target(p)]?"""
-        size = sum(n for (x, length), n in classes.items() if length <= levels.get(x, -1))
+        levels = {b.vertex_id[x]: m for x, m in levels.items()}
+        size = sum(counts[k][x] for x, m in levels.items() for k in range(min(m, b.depth) + 1))
         return len(members) == size and all(
-            lengths[i] <= levels.get(targets[i], -1) for i in members
+            i < b.upto(levels.get(x, -1)) for x, i in longest(members).items()
         )
 
     def read(h: dict[int, int]):
@@ -428,15 +435,13 @@ def verify_pair(mat: MaterializedPair) -> VerificationReport:
         U*U, None when it has none."""
         fibers = Counter(h.values())
         injective = len(fibers) == len(h)
-        initial = {i for i in h if lengths[i] <= level}
+        initial = {i for i in h if i < interior}
         if len({h[i] for i in initial}) != len(initial):
             initial = None
-        ranges = {r for r in fibers if lengths[r] <= level}
+        ranges = {r for r in fibers if r < interior}
         if any(fibers[r] > 1 for r in ranges):
             ranges = None
-        top: dict[str, int] = {}
-        for i in h:
-            top[targets[i]] = max(top.get(targets[i], 0), lengths[i])
+        top = {b.vertices[x]: b.length(i) for x, i in longest(h).items()}
         vertex_set = frozenset(top) if injective and is_block(h, top) else None
         return injective, initial, ranges, vertex_set
 
@@ -451,8 +456,8 @@ def verify_pair(mat: MaterializedPair) -> VerificationReport:
     if not orthogonal:
         messages.append("U*V has a nonzero entry")
 
-    target = {x: level for x in initial_set}
-    initial_match = all(s is not None and is_block(s, target) for s in (s_u, s_v))
+    initial_levels = {x: level for x in initial_set}
+    initial_match = all(s is not None and is_block(s, initial_levels) for s in (s_u, s_v))
     if not initial_match:
         messages.append("compressed initial projections disagree")
 
@@ -465,7 +470,8 @@ def verify_pair(mat: MaterializedPair) -> VerificationReport:
     if b.graph.family is None:
         rhs_u, rhs_v = s_u, s_v
     else:
-        rhs_u = rhs_v = {i for i, n in enumerate(lengths) if n <= level}
+        # the right-hand side is all of E_m, which holds every range read above
+        rhs_u, rhs_v = lhs_u, lhs_v
     if lhs_u is None or lhs_v is None or rhs_u is None or rhs_v is None:
         range_condition = False
         messages.append("a range or initial projection is not a 0/1 diagonal")

@@ -301,6 +301,12 @@ def test_depth_cap_guard(capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("term", ["R:g.f", "L:g.f"])
+def test_word_longer_than_depth_exports_zero(capsys, term):
+    code, out, err = run(capsys, "fock", "partly_free_D", "--depth", "1", "--op", term)
+    assert (code, out, err) == (0, "5 1 bd732ff483f3\n", "")
+
+
 @pytest.mark.parametrize(
     "text,depth,cap",
     [

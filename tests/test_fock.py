@@ -1,10 +1,14 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from partlyfree import (
     BasisCapError,
+    Graph,
     GraphError,
+    Path,
     SparseOp,
     build_basis,
     compose,
@@ -26,6 +30,9 @@ from partlyfree import (
     word,
 )
 
+from partlyfree import catalog
+from partlyfree.oracle import random_graph
+
 from conftest import cycle_graph
 
 
@@ -46,6 +53,69 @@ def test_basis_cap(two_loops):
 def test_basis_hash_stable(fork):
     assert build_basis(fork, 1).basis_hash() == build_basis(fork, 1).basis_hash()
     assert build_basis(fork, 1).basis_hash() != build_basis(fork, 0).basis_hash()
+
+
+@pytest.mark.parametrize(
+    "name,depth,digest",
+    [
+        ("partly_free_D", 12, "e1a69d79c22d"),
+        ("n_loops(2)", 9, "d8bbdd780f2b"),
+        ("n_loops(3)", 6, "6dbbe2b492c6"),
+        ("partly_free_D", 0, "84eeda7c38a0"),
+    ],
+)
+def test_basis_hash_pinned(name, depth, digest):
+    # fixes the basis order, and so every ordinal of the fock export
+    assert build_basis(catalog.builtin(name).graph, depth).basis_hash() == digest
+
+
+def _trie_graphs():
+    rng = random.Random(11)
+    graphs = [random_graph(rng, max_vertices=5, max_edges=7) for _ in range(25)]
+    graphs += [catalog.builtin(name).graph for name in catalog.DEFAULT_FINITE_NAMES]
+    return graphs + [Graph(("x", "y", "z"), ())]
+
+
+@pytest.mark.parametrize("depth", range(6))
+def test_trie_matches_enumerated_paths(depth):
+    """Ordinals, ``paths`` and ``right_op`` of the trie against the sorted
+    enumeration of :func:`enumerate_paths` and ``paths.compose``; the
+    graphs include the edgeless one and digraph_T, whose levels die out."""
+    checked = 0
+    for g in _trie_graphs():
+        try:
+            b = build_basis(g, depth, cap=600)
+        except BasisCapError:
+            continue
+        checked += 1
+        ref = enumerate_paths(g, depth)
+        assert b.paths == tuple(ref)
+        index = {p: i for i, p in enumerate(ref)}
+        assert [b.ordinal(p) for p in ref] == list(range(b.dim))
+        for p in ref[b.offsets[depth]:]:
+            for e in g.out_edges(p.target):
+                with pytest.raises(GraphError, match="not in the basis"):
+                    b.ordinal(Path(p.source, e.dst, p.edges + (e.name,)))
+        for p, x in itertools.product(ref, g.vertices):
+            if x != p.target:
+                with pytest.raises(GraphError, match="not in the basis"):
+                    b.ordinal(Path(p.source, x, p.edges))
+        for a, x in itertools.product(g.edges, g.vertices):
+            if x != a.src:
+                with pytest.raises(GraphError, match="not in the basis"):
+                    b.ordinal(Path(x, a.dst, (a.name,)))
+        for a, c in itertools.product(g.edges, repeat=2):
+            if a.dst != c.src:
+                with pytest.raises(GraphError, match="not in the basis"):
+                    b.ordinal(Path(a.src, c.dst, (a.name, c.name)))
+        for w in enumerate_paths(g, 3):
+            entries = {}
+            for j, v in enumerate(ref):
+                image = compose(v, w)
+                if image is not None and len(image) <= depth:
+                    entries[(index[image], j)] = Fraction(1)
+            assert right_op(b, w) == SparseOp(b, entries), literal(w)
+    assert checked >= 20
 
 
 # ---------------------------------------------------------------- generators

@@ -95,6 +95,20 @@ def test_unital_pair_on_d(graph_d):
     assert em * (u.adjoint() * u) * em == em
 
 
+@pytest.mark.parametrize("name", ["partly_free_D", "n_loops(3)", "cycle_inf"])
+def test_verification_builds_no_paths(name):
+    # materialize and verify_pair work on the basis arrays alone
+    if name == "cycle_inf":
+        pair = construct_pair_infinite_path(name, 9)
+        b = build_basis(catalog.family_truncation(name, 9), 6)
+    else:
+        g = catalog.builtin(name).graph
+        pair = construct_pair_unital(g)
+        b = build_basis(g, pair.max_word_length() + 1)
+    assert verify_materialized(pair, b).passed
+    assert "paths" not in vars(b)
+
+
 def test_unital_rejects_cycle(c3):
     with pytest.raises(PairConstructionError, match="x1"):
         construct_pair_unital(c3)

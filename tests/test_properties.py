@@ -232,12 +232,13 @@ def _assert_left_ops_compose(b):
 
     from partlyfree import SparseOp, compose, enumerate_paths
 
+    index = {p: i for i, p in enumerate(enumerate_paths(b.graph, b.depth))}
     for w in enumerate_paths(b.graph, 3):
         entries = {}
         for j, p in enumerate(b.paths):
             image = compose(w, p)
             if image is not None and len(image) <= b.depth:
-                entries[(b.index[image], j)] = Fraction(1)
+                entries[(index[image], j)] = Fraction(1)
         assert left_op(b, w) == SparseOp(b, entries), w
 
 
