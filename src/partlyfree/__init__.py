@@ -38,7 +38,6 @@ from .graphs import (
     PropertyReport,
     classify_finite,
     double_cycle_witnesses,
-    first_return_cycles,
     parse_graph,
     render_graph,
     saturation_vertices,

@@ -22,6 +22,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .fock import (
+    DEFAULT_BASIS_CAP,
     build_basis,
     fourier_coefficients,
     left_op,
@@ -51,6 +52,28 @@ from .pairs import (
 from .paths import Path, enumerate_paths, literal, unit, word
 
 DEFAULT_SEED = 1729
+
+# The most vertices plus edges a parameter or window may give a graph.
+# They are its paths of length <= 1, so a larger graph has no Fock
+# truncation of depth >= 1 under the default cap; refusing it before it is
+# built keeps a huge parameter from running for minutes.
+MAX_GRAPH_SIZE = DEFAULT_BASIS_CAP
+
+
+def _check_size(label: str, size: int) -> None:
+    if size > MAX_GRAPH_SIZE:
+        raise GraphError(
+            f"{label} would have {size} vertices and edges, more than {MAX_GRAPH_SIZE}"
+        )
+
+
+def _check_window(name: str, k: int, least: int, size: int) -> None:
+    """Refuse a window below ``least`` or one whose graph has ``size``
+    vertices and edges above the bound."""
+    if k < least:
+        raise GraphError(f"{name} needs a window >= {least}")
+    _check_size(f"{name} at window {k}", size)
+
 
 # windowed vertex/edge ids for integer-indexed families: x3, x0, xm2 ...
 def _ix(i: int) -> str:
@@ -125,6 +148,7 @@ def _n_loops(n: Optional[int]) -> CatalogEntry:
     n = 2 if n is None else n
     if n < 1:
         raise GraphError("n_loops needs n >= 1")
+    _check_size(f"n_loops({n})", 1 + n)
     g = Graph(("x",), tuple(Edge(name, "x", "x") for name in _loop_names(n)))
     expected = _ALL_TRUE if n >= 2 else _ALL_FALSE
     return CatalogEntry(
@@ -176,6 +200,7 @@ def _cycle(n: Optional[int]) -> CatalogEntry:
     n = 3 if n is None else n
     if n < 1:
         raise GraphError("cycle needs n >= 1")
+    _check_size(f"cycle({n})", 2 * n)
     vertices = tuple(f"x{k}" for k in range(1, n + 1))
     edges = tuple(
         Edge(f"e{k}", f"x{k}", f"x{k % n + 1}") for k in range(1, n + 1)
@@ -193,6 +218,7 @@ def _two_vertex_multi(k: Optional[int]) -> CatalogEntry:
     k = 2 if k is None else k
     if k < 1:
         raise GraphError("two_vertex_multi needs k >= 1")
+    _check_size(f"two_vertex_multi({k})", 2 + k)
     edges = tuple(Edge(f"e{j}", "x1", "x2") for j in range(1, k + 1))
     return CatalogEntry(
         f"two_vertex_multi({k})",
@@ -230,10 +256,9 @@ def _line_window_pair(indices: list[int]) -> list[tuple[str, tuple[str, ...], tu
 
 def _cycle_inf(window: Optional[int]) -> CatalogEntry:
     window = 9 if window is None else window
-    if window < 1:
-        raise GraphError("cycle_inf needs a window >= 1")
 
     def truncate(k: int) -> Graph:
+        _check_window("cycle_inf", k, 1, 2 * k - 1)
         vertices = tuple(f"x{i}" for i in range(1, k + 1))
         edges = tuple(Edge(f"e{i}", f"x{i}", f"x{i + 1}") for i in range(1, k))
         return Graph(vertices, edges, family=("cycle_inf", k))
@@ -255,11 +280,10 @@ def _cycle_inf(window: Optional[int]) -> CatalogEntry:
 
 def _int_line(window: Optional[int], with_loops: bool) -> CatalogEntry:
     window = 4 if window is None else window
-    if window < 0:
-        raise GraphError("int_line needs a window >= 0")
     name = "int_line_loops" if with_loops else "int_line"
 
     def truncate(k: int) -> Graph:
+        _check_window(name, k, 0, (6 if with_loops else 4) * k + (2 if with_loops else 1))
         ids = list(range(-k, k + 1))
         vertices = tuple(_ix(i) for i in ids)
         edges = [Edge(_ie(i), _ix(i), _ix(i + 1)) for i in ids[:-1]]
@@ -287,10 +311,9 @@ def _int_line(window: Optional[int], with_loops: bool) -> CatalogEntry:
 
 def _half_line_loops(window: Optional[int]) -> CatalogEntry:
     window = 9 if window is None else window
-    if window < 1:
-        raise GraphError("half_line_loops needs a window >= 1")
 
     def truncate(k: int) -> Graph:
+        _check_window("half_line_loops", k, 1, 3 * k - 1)
         vertices = tuple(f"x{i}" for i in range(1, k + 1))
         edges = [Edge(f"e{i}", f"x{i}", f"x{i + 1}") for i in range(1, k)]
         edges += [Edge(f"w{i}", f"x{i}", f"x{i}") for i in range(1, k + 1)]
@@ -325,7 +348,18 @@ def _tree_gn(n: Optional[int], window: int = 3) -> CatalogEntry:
             out.extend(level)
         return out
 
+    def size(k: int) -> int:
+        """Vertices plus edges of the window k, counted only up to just past the bound."""
+        vertices = level = 1
+        for _ in range(min(k, MAX_GRAPH_SIZE)):
+            level *= n
+            vertices += level
+            if vertices > MAX_GRAPH_SIZE:
+                break
+        return 2 * vertices - 1
+
     def truncate(k: int) -> Graph:
+        _check_window(f"tree_Gn({n})", k, 1, size(k))
         vertices = tuple("x" + w for w in words_up_to(k))
         edges = tuple(
             Edge("e" + str(i) + w, "x" + w, "x" + str(i) + w)
@@ -371,10 +405,9 @@ def _tree_gn(n: Optional[int], window: int = 3) -> CatalogEntry:
 
 def _star_in(window: Optional[int]) -> CatalogEntry:
     window = 6 if window is None else window
-    if window < 1:
-        raise GraphError("star_in needs a window >= 1")
 
     def truncate(k: int) -> Graph:
+        _check_window("star_in", k, 1, 2 * k - 1)
         vertices = tuple(f"x{i}" for i in range(1, k + 1))
         edges = tuple(Edge(f"e{i}", "x1", f"x{i}") for i in range(2, k + 1))
         return Graph(vertices, edges, family=("star_in", k))
@@ -391,10 +424,9 @@ def _star_in(window: Optional[int]) -> CatalogEntry:
 
 def _zigzag(window: Optional[int]) -> CatalogEntry:
     window = 3 if window is None else window
-    if window < 1:
-        raise GraphError("zigzag needs a window >= 1")
 
     def truncate(k: int) -> Graph:
+        _check_window("zigzag", k, 1, 4 * k + 1)
         ids = list(range(-k, k + 1))
         vertices = tuple(_ix(i) for i in ids)
         edges = []
@@ -456,6 +488,10 @@ def _require_no_param(name: str, param: Optional[int], builder: Callable[[], Cat
     return builder()
 
 
+class UnknownEntryError(GraphError):
+    """No catalog entry has this name."""
+
+
 _NAME_WITH_PARAM = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)(?:\((\d+)\))?$")
 
 
@@ -463,9 +499,11 @@ def builtin(name: str) -> CatalogEntry:
     """Look up a catalog entry, e.g. ``cycle(5)`` or ``cycle_inf``."""
     m = _NAME_WITH_PARAM.match(name.strip())
     if not m or m.group(1) not in _BUILDERS:
-        raise GraphError(f"unknown catalog entry {name!r}")
-    param = int(m.group(2)) if m.group(2) else None
-    return _BUILDERS[m.group(1)](param)
+        raise UnknownEntryError(f"unknown catalog entry {name!r}")
+    digits = m.group(2)
+    if digits and len(digits.lstrip("0")) > len(str(MAX_GRAPH_SIZE)):
+        raise GraphError(f"catalog entry {m.group(1)!r}: parameter exceeds {MAX_GRAPH_SIZE}")
+    return _BUILDERS[m.group(1)](int(digits) if digits else None)
 
 
 def catalog_names() -> list[str]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -40,6 +41,8 @@ from .paths import path_from_literal
 USAGE_ERROR = 1
 CHECK_FAILED = 2
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
 
 class _Source:
     """A resolved graph argument: a file, a finite entry, or a family."""
@@ -60,7 +63,7 @@ def _resolve(label: str, window: Optional[int] = None) -> _Source:
             return _Source(label, parse_graph(fh.read()))
     try:
         entry = catalog.builtin(label)
-    except GraphError:
+    except catalog.UnknownEntryError:
         raise GraphError(f"{label!r} is neither a readable file nor a catalog entry") from None
     if entry.kind == "finite":
         return _Source(entry.name, entry.graph, entry)
@@ -180,7 +183,11 @@ def _cmd_verify(args) -> int:
         return USAGE_ERROR
     if args.pair is not None:
         with open(args.pair, "r", encoding="utf-8") as fh:
-            pair = pair_from_json(source.graph, json.load(fh))
+            try:
+                obj = json.load(fh)
+            except (ValueError, RecursionError) as exc:  # ValueError: not UTF-8 or not JSON
+                raise PairConstructionError(f"malformed pair file: {exc}") from None
+        pair = pair_from_json(source.graph, obj)
     else:
         pair = _build_pair(source, args.mode, args.window)
     basis = build_basis(source.graph, args.depth, cap=args.cap)
@@ -239,10 +246,14 @@ def _parse_op_expression(basis, text: str) -> SparseOp:
         scalar = Fraction(1)
         if "*" in term:
             coeff, term = term.split("*", 1)
+            coeff = coeff.strip()
             try:
-                scalar = Fraction(coeff.strip())
+                # Fraction alone would also take "1e999999999" and build that power of ten
+                if not _RATIONAL.fullmatch(coeff):
+                    raise ValueError
+                scalar = Fraction(coeff)
             except (ValueError, ZeroDivisionError):
-                raise GraphError(f"bad rational coefficient {coeff.strip()!r}") from None
+                raise GraphError(f"bad rational coefficient {coeff!r}") from None
             term = term.strip()
         if ":" not in term:
             raise GraphError(f"bad operator term {raw_term.strip()!r}")
@@ -285,8 +296,17 @@ def _cmd_catalog(args) -> int:
     return 0 if result.passed else CHECK_FAILED
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with ``USAGE_ERROR``; argparse's own code, 2, is
+    the one for a failed check."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="partlyfree",
         description="Decide partly-freeness of graph operator algebras and "
         "verify the witnessing isometry pairs exactly.",
@@ -357,7 +377,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return USAGE_ERROR
     try:
         return args.func(args)
-    except (GraphError, PairConstructionError, OSError, json.JSONDecodeError) as exc:
+    except (GraphError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -142,6 +142,11 @@ def build_basis(g: Graph, depth: int, cap: int = DEFAULT_BASIS_CAP) -> FockBasis
     """
     if depth < 0:
         raise GraphError("depth must be >= 0")
+    if depth > cap:
+        # ``offsets`` keeps an entry for every level, the empty ones too
+        raise BasisCapError(
+            f"depth {depth} is above the cap of {cap}; lower the depth or raise the cap"
+        )
 
     def check(count: int) -> None:
         if count > cap:

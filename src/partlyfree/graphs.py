@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Union
+from typing import AbstractSet, Callable, NamedTuple, Optional, Union
 
 
 class GraphError(ValueError):
@@ -206,8 +206,14 @@ def _reaches(g: Graph, targets: frozenset[str]) -> frozenset[str]:
     return frozenset(seen)
 
 
-def strongly_connected_components(g: Graph) -> list[tuple[str, ...]]:
-    """Tarjan's algorithm, iterative so deep graphs cannot overflow the stack."""
+def strongly_connected_components(
+    g: Graph, within: Optional[AbstractSet[str]] = None
+) -> list[tuple[str, ...]]:
+    """Tarjan's algorithm, iterative so deep graphs cannot overflow the stack.
+
+    With ``within``, the components of the subgraph induced on that vertex set.
+    """
+    members = g._vertex_set if within is None else within
     index: dict[str, int] = {}
     low: dict[str, int] = {}
     on_stack: set[str] = set()
@@ -216,7 +222,7 @@ def strongly_connected_components(g: Graph) -> list[tuple[str, ...]]:
     counter = 0
 
     for root in g.vertices:
-        if root in index:
+        if root in index or root not in members:
             continue
         work = [(root, iter(g.out_edges(root)))]
         index[root] = low[root] = counter
@@ -228,6 +234,8 @@ def strongly_connected_components(g: Graph) -> list[tuple[str, ...]]:
             advanced = False
             for e in edge_iter:
                 w = e.dst
+                if w not in members:
+                    continue
                 if w not in index:
                     index[w] = low[w] = counter
                     counter += 1
@@ -328,50 +336,18 @@ class InfinitePathCertificate:
 AperiodicWitness = Union[DoubleCycleWitness, InfinitePathCertificate]
 
 
-def first_return_cycles(
-    g: Graph, base: str, max_length: int, limit: Optional[int] = None
-) -> list[tuple[str, ...]]:
-    """First-return cycle words at ``base``, in lexicographic order.
-
-    Only words of length <= ``max_length`` are produced; with ``limit``
-    the search stops after that many cycles.  Edge names are compared as
-    plain strings, which fixes the deterministic witness order.
-    """
-    if not g.has_vertex(base):
-        raise GraphError(f"unknown vertex {base!r}")
-    reach_base = saturation_vertices(transpose(g), base)
-    results: list[tuple[str, ...]] = []
-    # iterative depth-first search in sorted edge order; the explicit
-    # stack keeps long cycles from exhausting the interpreter stack
-    word: list[str] = []
-    stack = [iter(g.out_edges(base))]
-    while stack:
-        e = next(stack[-1], None)
-        if e is None:
-            stack.pop()
-            if word:
-                word.pop()
-            continue
-        if e.dst == base:
-            results.append(tuple(word) + (e.name,))
-            if limit is not None and len(results) >= limit:
-                return results
-        elif len(word) + 1 < max_length and e.dst in reach_base:
-            word.append(e.name)
-            stack.append(iter(g.out_edges(e.dst)))
-    return results
-
-
 def _component_shape(g: Graph, comp: tuple[str, ...]) -> str:
     """Classify an SCC as 'trivial', 'simple-cycle' or 'branching'.
 
     A strongly connected component admits a double-cycle exactly when it
     is neither a lone vertex without a loop nor a simple directed cycle
     (internal edge count equal to the vertex count with every internal
-    out-degree 1).  In the branching case some vertex has two internal
-    out-edges, and routing shortest internal paths through it yields two
-    distinct first-return cycles of length < 2|comp| at every vertex of
-    the component.
+    out-degree 1).  In the branching case some vertex u has two internal
+    out-edges.  From any vertex x of the component, a shortest path to u
+    (it meets x only at its start), either of the two edges, and a
+    shortest path back to x (it meets x only at its end) make two distinct
+    first-return cycles at x of length <= 2|comp| - 1; so the two
+    shortlex-least ones are that short too.
     """
     members = set(comp)
     internal = [e for v in comp for e in g.out_edges(v) if e.dst in members]
@@ -385,19 +361,75 @@ def _component_shape(g: Graph, comp: tuple[str, ...]) -> str:
     return "branching"
 
 
+def _shortlex_cycles(g: Graph, comp: tuple[str, ...], base: str) -> list[tuple[str, ...]]:
+    """The two shortlex-least first-return cycle words at ``base`` among
+    those of length <= 2|comp| (fewer if there are fewer).
+
+    ``ways[l]`` maps each vertex v of ``comp`` other than ``base`` to the
+    number, capped at 2, of walks of length l from v to ``base`` inside
+    ``comp`` that meet ``base`` only at their end, and leaves out the
+    zeros; ``ways[0]`` is ``{base: 1}``, the empty walk.  A level is made
+    from the one before by stepping back along the in-edges of the
+    vertices it holds, and the walks that step back onto ``base`` are the
+    first-return cycles of that length, counted in ``cycles[l]``.  Levels
+    stop once two cycles are known.  Rank 0 or 1 among the cycles of one
+    length is then unranked greedily, taking the out-edges of each vertex
+    in name order: the cap cannot mislead this, because a capped count is
+    never subtracted from a rank below 2.  A level costs the in-degrees of
+    the vertices it holds, at most |E_comp|, so the search costs
+    O(|comp| |E_comp|), and about |comp| + |E_comp| on a sparse component
+    whose levels hold few vertices.
+    """
+    members = set(comp)
+    ways: list[dict[str, int]] = [{base: 1}]
+    cycles = [0]
+    found = 0
+    while found < 2 and len(cycles) <= 2 * len(comp):
+        level: dict[str, int] = {}
+        for v, count in ways[-1].items():
+            for e in g.in_edges(v):
+                if e.src in members:
+                    level[e.src] = min(2, level.get(e.src, 0) + count)
+        cycles.append(level.pop(base, 0))
+        found += cycles[-1]
+        ways.append(level)
+
+    def unrank(length: int, k: int) -> tuple[str, ...]:
+        at, word = base, []
+        for left in range(length - 1, -1, -1):
+            for e in g.out_edges(at):
+                count = ways[left].get(e.dst, 0)
+                if k < count:
+                    break
+                k -= count
+            word.append(e.name)
+            at = e.dst
+        return tuple(word)
+
+    words: list[tuple[str, ...]] = []
+    for length, count in enumerate(cycles):
+        words += [unrank(length, k) for k in range(min(count, 2 - len(words)))]
+    return words
+
+
 def double_cycle_witnesses(g: Graph) -> list[DoubleCycleWitness]:
     """One double-cycle witness per branching SCC, ordered by base vertex.
 
-    Empty iff the graph has no double-cycle.  The base is the
-    lexicographically least vertex of its component and the two cycle
-    words are the lexicographically first first-return cycles there.
+    Empty iff the graph has no double-cycle.  The base is the least vertex
+    of its component (vertex names compared as plain strings), and the two
+    cycle words are the shortlex-least first-return cycles there: shortest
+    first, and among equal lengths lexicographic on the traversal-order
+    word, edge names compared as plain strings.  Both have length
+    < 2|comp| (see :func:`_component_shape`), and the search is polynomial:
+    O(|V| + |E|) for the components plus O(|comp| |E_comp|) per branching
+    component (:func:`_shortlex_cycles`).
     """
     witnesses = []
     for comp in strongly_connected_components(g):
         if _component_shape(g, comp) != "branching":
             continue
         base = min(comp)
-        words = first_return_cycles(g, base, 2 * len(comp), limit=2)
+        words = _shortlex_cycles(g, comp, base)
         if len(words) < 2:  # cannot happen for a branching SCC; guard anyway
             raise GraphError(f"component at {base!r} branches but yielded {len(words)} cycles")
         witnesses.append(
@@ -454,6 +486,12 @@ def classify_finite(g: Graph) -> PropertyReport:
     variants.  The hyper-reflexivity flag is the sufficient condition
     "the transpose graph has the uniform aperiodic path property" (the
     commutant then contains two isometries with orthogonal ranges).
+
+    The reported witness is the one at the least base, with the two
+    shortlex-least first-return cycles there (:func:`double_cycle_witnesses`).
+    The whole decision is polynomial: one SCC pass, the witness search in
+    O(|comp| |E_comp|) per branching component, so O(|V| |E|) at most,
+    and two reachability passes.
     """
     witnesses = double_cycle_witnesses(g)
     witness = witnesses[0] if witnesses else None

@@ -1,6 +1,6 @@
 """Independent brute-force cross-checks for the decision procedures.
 
-Two oracles live here, both deliberately unrelated to the SCC-based
+Three oracles live here, each deciding by a route unrelated to the
 decision path:
 
 * a simple-cycle enumerator: the double-cycle decision is re-derived as
@@ -8,6 +8,9 @@ decision path:
   cycles rotate to two distinct first-return cycles at a shared vertex,
   and conversely a strongly connected component that is not a simple
   cycle always contains such a pair, so the two decisions must agree.
+* a bounded enumeration of first-return cycles in lexicographic order:
+  sorted shortlex, its first two words are the witness words of the
+  polynomial search.
 * a bounded exhaustive search for isometry pairs over cycle graphs: the
   cycle algebras contain no pair satisfying the partly-free identities,
   and the search confirms that no small sum of L_w's fakes one on the
@@ -21,34 +24,136 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from .catalog import MAX_GRAPH_SIZE
 from .fock import FockBasis, SparseOp, build_basis, left_op, length_projection
-from .graphs import Edge, Graph, double_cycle_witnesses
+from .graphs import (
+    Edge,
+    Graph,
+    GraphError,
+    double_cycle_witnesses,
+    saturation_vertices,
+    strongly_connected_components,
+    transpose,
+)
 from .pairs import Summand
 from .paths import Path, enumerate_paths, is_left_divisor
 
 DEFAULT_SEED = 1729
 
+# the steps the simple-cycle search may take before it gives up; two
+# million take under a second of pure Python
+CYCLE_SEARCH_BUDGET = 2_000_000
 
-def simple_cycles(g: Graph, max_length: Optional[int] = None) -> list[tuple[str, ...]]:
+
+def first_return_cycles(
+    g: Graph, base: str, max_length: int, limit: Optional[int] = None
+) -> list[tuple[str, ...]]:
+    """First-return cycle words at ``base``, in lexicographic order.
+
+    Only words of length <= ``max_length`` are produced; with ``limit``
+    the search stops after that many cycles.  Edge names are compared as
+    plain strings.  This bounded depth-first enumeration is exponential in
+    ``max_length``; it is the brute-force reference for the polynomial
+    shortlex search of :func:`graphs.double_cycle_witnesses`.
+    """
+    if not g.has_vertex(base):
+        raise GraphError(f"unknown vertex {base!r}")
+    reach_base = saturation_vertices(transpose(g), base)
+    results: list[tuple[str, ...]] = []
+    # iterative depth-first search in sorted edge order; the explicit
+    # stack keeps long cycles from exhausting the interpreter stack
+    word: list[str] = []
+    stack = [iter(g.out_edges(base))]
+    while stack:
+        e = next(stack[-1], None)
+        if e is None:
+            stack.pop()
+            if word:
+                word.pop()
+            continue
+        if e.dst == base:
+            results.append(tuple(word) + (e.name,))
+            if limit is not None and len(results) >= limit:
+                return results
+        elif len(word) + 1 < max_length and e.dst in reach_base:
+            word.append(e.name)
+            stack.append(iter(g.out_edges(e.dst)))
+    return results
+
+
+def simple_cycles(g: Graph) -> list[tuple[str, ...]]:
     """All vertex-simple directed cycles, as edge-name tuples.
 
-    Each cycle is anchored at its least vertex, which makes the listing
-    canonical without rotation bookkeeping.  Loops and parallel edges
-    yield distinct cycles.  Length is bounded by the vertex count
-    (vertex-simple), or by ``max_length`` if smaller.
+    Johnson's algorithm ("Finding all the elementary circuits of a
+    directed graph", SIAM J. Comput. 1975), with explicit stacks.  Take a
+    strongly connected component and its least vertex s, list the cycles
+    through s inside it, remove s and split the rest into components
+    again.  So each cycle is found once, anchored at its least
+    vertex, which makes the listing canonical without rotation
+    bookkeeping; loops and parallel edges yield distinct cycles.  The
+    components (:func:`graphs.strongly_connected_components`) only prune
+    the search: the answer comes from the cycles, not from the component
+    shapes that the decision reads.  A vertex stays blocked until a cycle
+    is found through it or through a vertex that waits on it, so a dead
+    end is walked at most once between two cycles, and the search takes
+    O((|V| + |E|)(c + 1)) steps for c cycles.  More than
+    ``CYCLE_SEARCH_BUDGET`` steps (edges followed, and edges copied out
+    with the cycles) raise :class:`GraphError`.
     """
-    bound = len(g.vertices) if max_length is None else min(max_length, len(g.vertices))
     cycles: list[tuple[str, ...]] = []
-
-    def extend(anchor: str, v: str, visited: set[str], word: tuple[str, ...]) -> None:
-        for e in g.out_edges(v):
-            if e.dst == anchor:
-                cycles.append(word + (e.name,))
-            elif e.dst not in visited and e.dst > anchor and len(word) + 1 < bound:
-                extend(anchor, e.dst, visited | {e.dst}, word + (e.name,))
-
-    for anchor in sorted(g.vertices):
-        extend(anchor, anchor, {anchor}, ())
+    steps = 0
+    work = strongly_connected_components(g)
+    while work:
+        comp = work.pop()
+        s = min(comp)
+        members = set(comp)
+        out = {v: [e for e in g.out_edges(v) if e.dst in members] for v in comp}
+        if len(comp) == 1 and not out[s]:
+            continue
+        blocked = {s}
+        waiting: dict[str, set[str]] = {v: set() for v in comp}
+        heads, word, closed = [s], [], [False]
+        stack = [iter(out[s])]
+        while stack:
+            for e in stack[-1]:
+                steps += 1
+                if e.dst == s:
+                    cycles.append(tuple(word) + (e.name,))
+                    steps += len(word)
+                    closed[-1] = True
+                elif e.dst not in blocked:
+                    blocked.add(e.dst)
+                    heads.append(e.dst)
+                    word.append(e.name)
+                    closed.append(False)
+                    stack.append(iter(out[e.dst]))
+                    break
+            else:
+                # every out-edge of v is done: unblock v if a cycle ran
+                # through it, else let it wait on its successors
+                stack.pop()
+                v = heads.pop()
+                if word:
+                    word.pop()
+                if closed.pop():
+                    if closed:
+                        closed[-1] = True
+                    unblock = [v]
+                    while unblock:
+                        u = unblock.pop()
+                        if u in blocked:
+                            blocked.discard(u)
+                            unblock.extend(waiting[u])
+                            waiting[u].clear()
+                else:
+                    for e in out[v]:
+                        waiting[e.dst].add(v)
+            if steps > CYCLE_SEARCH_BUDGET:
+                raise GraphError(
+                    f"simple-cycle search exceeded its budget of {CYCLE_SEARCH_BUDGET} steps "
+                    f"after {len(cycles)} cycles"
+                )
+        work += strongly_connected_components(g, members - {s})
     return cycles
 
 
@@ -68,6 +173,11 @@ def has_double_cycle_bruteforce(g: Graph) -> bool:
 
 
 def random_graph(rng: random.Random, max_vertices: int = 8, max_edges: int = 16) -> Graph:
+    if not (1 <= max_vertices and 0 <= max_edges and max_vertices + max_edges <= MAX_GRAPH_SIZE):
+        raise GraphError(
+            "random graphs need max_vertices >= 1, max_edges >= 0 and at most "
+            f"{MAX_GRAPH_SIZE} of both together"
+        )
     n = rng.randint(1, max_vertices)
     vertices = tuple(f"v{i}" for i in range(n))
     m = rng.randint(0, max_edges)
@@ -94,6 +204,8 @@ def agreement_run(
     max_edges: int = 16,
 ) -> AgreementReport:
     """Compare the SCC decision with the brute-force oracle on random graphs."""
+    if count < 0:
+        raise GraphError("the number of random graphs must be >= 0")
     rng = random.Random(seed)
     disagreements = []
     for i in range(count):

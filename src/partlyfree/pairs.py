@@ -27,6 +27,7 @@ claimed past the interior level at which truncation defects are expected.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -411,43 +412,62 @@ def verify_pair(mat: MaterializedPair) -> VerificationReport:
     if unknown:
         raise GraphError(f"unknown vertex {min(unknown)!r}")
     target, interior = b.target, b.upto(level)
-    # class sizes: the number of paths of each length at each range vertex id
-    counts = [Counter(target[b.offsets[k]:b.offsets[k + 1]]) for k in range(b.depth + 1)]
+    # class sizes: sizes[k][x] is the number of paths of length <= k with
+    # range vertex id x; the paths of length k into y are the paths of
+    # length k - 1 followed by an edge into y, and once a level is empty
+    # so are all longer ones
+    ends = [(b.vertex_id[e.src], b.vertex_id[e.dst]) for e in b.graph.edges]
+    paths_k = [1] * len(b.vertices)
+    sizes = [paths_k]
+    for _ in range(b.depth):
+        into = [0] * len(paths_k)
+        for src, dst in ends:
+            into[dst] += paths_k[src]
+        if not any(into):
+            break
+        paths_k = into
+        sizes.append([a + c for a, c in zip(sizes[-1], paths_k)])
 
-    def longest(members) -> dict[int, int]:
-        """Range vertex id -> the greatest member there, which is the
-        longest one, since ordinals grow with length."""
-        cols = sorted(members)
+    def longest(cols: list[int]) -> dict[int, int]:
+        """Range vertex id -> the greatest of the sorted ``cols`` there,
+        which is the longest one, since ordinals grow with length."""
         return dict(zip(map(target.__getitem__, cols), cols))
 
-    def is_block(members, levels: dict[str, int]) -> bool:
-        """Are ``members`` exactly the paths p with len(p) <= levels[target(p)]?"""
-        levels = {b.vertex_id[x]: m for x, m in levels.items()}
-        size = sum(counts[k][x] for x, m in levels.items() for k in range(min(m, b.depth) + 1))
+    def ids(levels: dict[str, int]) -> dict[int, int]:
+        return {b.vertex_id[x]: m for x, m in levels.items()}
+
+    def is_block(members, top: dict[int, int], levels: dict[int, int]) -> bool:
+        """Are ``members``, whose longest one at each range vertex id is
+        ``top`` there, exactly the paths p with len(p) <= levels[target(p)]?"""
+        size = sum(sizes[min(m, len(sizes) - 1)][x] for x, m in levels.items() if m >= 0)
         return len(members) == size and all(
-            i < b.upto(levels.get(x, -1)) for x, i in longest(members).items()
+            i < b.upto(levels.get(x, -1)) for x, i in top.items()
         )
 
     def read(h: dict[int, int]):
         """Return whether the partial map h is injective, the supports of
-        E U*U E (dom h in E) and of E UU* E (range h in E), each None when
-        that is no 0/1 diagonal, and the vertex set of the standard form of
-        U*U, None when it has none."""
+        E U*U E (dom h in E, as a sorted list) and of E UU* E (range h in
+        E), each None when that is no 0/1 diagonal, the vertex set of the
+        standard form of U*U, None when it has none, and the longest member
+        of dom h at each range vertex id."""
         fibers = Counter(h.values())
         injective = len(fibers) == len(h)
-        initial = {i for i in h if i < interior}
+        cols = sorted(h)
+        initial = cols[:bisect_left(cols, interior)]
         if len({h[i] for i in initial}) != len(initial):
             initial = None
         ranges = {r for r in fibers if r < interior}
         if any(fibers[r] > 1 for r in ranges):
             ranges = None
-        top = {b.vertices[x]: b.length(i) for x, i in longest(h).items()}
-        vertex_set = frozenset(top) if injective and is_block(h, top) else None
-        return injective, initial, ranges, vertex_set
+        top = longest(cols)
+        lengths = {x: b.length(i) for x, i in top.items()}
+        standard = injective and is_block(h, top, lengths)
+        vertex_set = frozenset(b.vertices[x] for x in top) if standard else None
+        return injective, initial, ranges, vertex_set, top
 
     f, g = mat.u, mat.v
-    injective_u, s_u, lhs_u, vertex_set_u = read(f)
-    injective_v, s_v, lhs_v, vertex_set_v = read(g)
+    injective_u, s_u, lhs_u, vertex_set_u, top_u = read(f)
+    injective_v, s_v, lhs_v, vertex_set_v, top_v = read(g)
     messages: list[str] = []
     nonzero = bool(f) and bool(g)
     if not nonzero:
@@ -456,13 +476,18 @@ def verify_pair(mat: MaterializedPair) -> VerificationReport:
     if not orthogonal:
         messages.append("U*V has a nonzero entry")
 
-    initial_levels = {x: level for x in initial_set}
-    initial_match = all(s is not None and is_block(s, initial_levels) for s in (s_u, s_v))
+    initial_levels = ids(dict.fromkeys(initial_set, level))
+    initial_match = all(
+        s is not None and is_block(s, longest(s), initial_levels) for s in (s_u, s_v)
+    )
     if not initial_match:
         messages.append("compressed initial projections disagree")
 
     blockwise = (
-        injective_u and injective_v and is_block(f, mat.u_levels) and is_block(g, mat.v_levels)
+        injective_u
+        and injective_v
+        and is_block(f, top_u, ids(mat.u_levels))
+        and is_block(g, top_v, ids(mat.v_levels))
     )
     if not blockwise:
         messages.append("blockwise initial projection identity fails")
@@ -476,7 +501,7 @@ def verify_pair(mat: MaterializedPair) -> VerificationReport:
         range_condition = False
         messages.append("a range or initial projection is not a 0/1 diagonal")
     else:
-        range_condition = lhs_u <= rhs_u and lhs_v <= rhs_v
+        range_condition = lhs_u.issubset(rhs_u) and lhs_v.issubset(rhs_v)
         if not range_condition:
             messages.append("a range projection escapes the initial projection")
 

@@ -1,7 +1,15 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from partlyfree import catalog
 from partlyfree.cli import main
 
 
@@ -325,3 +333,176 @@ def test_cap_counts_the_units(tmp_path, capsys, text, depth, cap):
     )
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1 and "cap" in err
+
+
+# ---------------------------------------------------------------- bounds
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["catalog", "check", "cycle(10000000)"],
+        ["oracle", "cycle(1000001)"],
+        ["analyze", "n_loops(2000000)"],
+        ["analyze", "two_vertex_multi(1999999)"],
+        ["analyze", "tree_Gn(2)", "--window", "19"],
+        ["analyze", "cycle_inf", "--window", "1000001"],
+        ["verify", "int_line", "--mode", "infinite-path", "--window", "500000"],
+        ["construct", "int_line_loops", "--mode", "infinite-path", "--window", "333334"],
+        ["analyze", "half_line_loops", "--window", "666668"],
+        ["analyze", "star_in(1000001)"],
+        ["analyze", "zigzag", "--window", "500000"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_catalog_parameters_and_windows_are_bounded(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "2000000" in err
+
+
+def test_oracle_cycle_3000(capsys):
+    # the simple-cycle oracle walks the 3000-cycle without recursion
+    code, out, err = run(capsys, "oracle", "cycle(3000)")
+    assert (code, out, err) == (0, "scc decision: False   simple-cycle oracle: False\n", "")
+
+
+def test_oracle_budget_exits_one(tmp_path, capsys):
+    # every ordered pair of 12 vertices joined: far more simple cycles than the budget allows
+    lines = [f"vertex v{i}" for i in range(12)]
+    lines += [f"edge e{i}_{j} v{i} v{j}" for i in range(12) for j in range(12) if i != j]
+    path = tmp_path / "complete.graph"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "oracle", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: simple-cycle search exceeded its budget")
+    assert err.count("\n") == 1
+
+
+# ---------------------------------------------------------------- fuzz
+
+_NAMES = st.sampled_from(["x", "y", "z", "e", "f", "g", "x1", "_", "é", "a-b", ""])
+_GRAPH_LINE = st.one_of(
+    st.builds("vertex {}".format, _NAMES),
+    st.builds("edge {} {} {}".format, _NAMES, _NAMES, _NAMES),
+    st.sampled_from(["# comment", "", "vertex", "edge e x", "vertex x y", "  edge e x x  # c"]),
+    st.text(max_size=12),
+)
+_CATALOG_NAMES = st.sampled_from(
+    list(catalog.DEFAULT_FINITE_NAMES + catalog.FAMILY_NAMES)
+    + [
+        "cycle(0)", "cycle(1)", "cycle(40)", "cycle(99999999)", "cycle(" + "9" * 5000 + ")",
+        "n_loops(0)", "n_loops(5)", "tree_Gn(0)", "tree_Gn(10)", "tree_Gn(3)",
+        "two_vertex_multi(0)", "rationals_Q(3)", "cycle_inf(0)", "cycle_inf(12)",
+        "int_line(0)", "zigzag(40)", "star_in(2)", "n_loops(", "()", "", " cycle(3) ",
+        "nonexistent", "cycle(-3)", "cycle(0x10)",
+    ]
+)
+_PAIR_WORDS = st.sampled_from(
+    ["e", "f", "g", "e.e", "g.f", "f.g", "e.g", "f.e", "", "@x", "zz", "e..f"]
+)
+_PAIR = st.one_of(
+    st.fixed_dictionaries(
+        {
+            "mode": st.sampled_from(
+                ["unital", "quiver", "double-cycle", "infinite-path", "bogus"]
+            ),
+            "summands_u": st.lists(
+                st.fixed_dictionaries({"source": _NAMES, "word": _PAIR_WORDS}), max_size=3
+            ),
+            "summands_v": st.lists(
+                st.fixed_dictionaries({"source": _NAMES, "word": _PAIR_WORDS}), max_size=3
+            ),
+            "initial_set": st.lists(_NAMES, max_size=3),
+        }
+    ),
+    st.recursive(
+        st.none() | st.booleans() | st.integers() | st.text(max_size=5),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+        max_leaves=8,
+    ),
+)
+_SMALL_OR_HUGE = st.one_of(st.integers(-3, 12), st.integers(10**6, 10**18))
+_OP = st.one_of(
+    st.lists(
+        st.builds(
+            "{}{}:{}".format,
+            st.sampled_from(["", "3*", "-2/5*", "1/0*", "x*", "1e9999*", "2**"]),
+            st.sampled_from(["L", "R", "P", "Q", ""]),
+            st.sampled_from(["e", "g.f", "x", "y", "@x", "", "zz"]),
+        ),
+        min_size=1,
+        max_size=3,
+    ).map(" + ".join),
+    st.text(max_size=15),
+)
+
+
+def _fuzz_argv(draw, workdir):
+    """One command line for cli.main, with any files it names written to workdir."""
+    graph_file = os.path.join(workdir, "g.graph")
+    with open(graph_file, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(draw(st.lists(_GRAPH_LINE, max_size=8))) + "\n")
+    bad_file = os.path.join(workdir, "bytes.graph")
+    with open(bad_file, "wb") as fh:
+        fh.write(draw(st.binary(max_size=20)))
+    pair_file = os.path.join(workdir, "pair.json")
+    with open(pair_file, "w", encoding="utf-8") as fh:
+        fh.write(draw(st.one_of(_PAIR.map(json.dumps), st.text(max_size=20), st.just("[" * 5000))))
+    graph = draw(st.one_of(_CATALOG_NAMES, st.sampled_from([graph_file, bad_file, workdir])))
+    command = draw(
+        st.sampled_from(["analyze", "verify", "construct", "oracle", "fock", "catalog"])
+    )
+    if command == "catalog":
+        argv = ["catalog", draw(st.sampled_from(["check", "list", "bogus"]))]
+        argv += draw(st.sampled_from([[], [graph]]))
+        if draw(st.booleans()):
+            argv += ["--depth", str(draw(st.integers(-3, 40)))]
+        return argv
+    if command == "oracle":
+        if draw(st.booleans()):
+            return ["oracle", graph]
+        return ["oracle"] + [
+            str(x)
+            for flag, value in (
+                ("--random", st.integers(-2, 4)),
+                ("--seed", st.integers(-5, 10**20)),
+                ("--max-vertices", st.one_of(st.integers(-2, 10), st.just(10**12))),
+                ("--max-edges", st.one_of(st.integers(-2, 12), st.just(10**12))),
+            )
+            if draw(st.booleans())
+            for x in (flag, draw(value))
+        ]
+    argv = [command, graph]
+    if command in ("verify", "construct") and draw(st.booleans()):
+        modes = ["unital", "quiver", "double-cycle", "infinite-path", "x"]
+        argv += ["--mode", draw(st.sampled_from(modes))]
+    if command == "verify" and draw(st.booleans()):
+        argv += ["--pair", pair_file]
+    if command in ("verify", "fock"):
+        depth = draw(_SMALL_OR_HUGE)
+        argv += ["--depth", str(depth)]
+        # a cap of at most a few thousand paths keeps every basis small
+        argv += ["--cap", str(draw(st.integers(-2, 3000)))]
+    if command == "fock":
+        argv += ["--op", draw(_OP)]
+    if draw(st.booleans()):
+        argv += ["--window", str(draw(_SMALL_OR_HUGE))]
+    if command == "analyze":
+        argv += draw(st.sampled_from([[], ["--json"], ["--dot"]]))
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_cli_fuzz_exit_codes_and_no_traceback(data):
+    with tempfile.TemporaryDirectory() as workdir:
+        argv = _fuzz_argv(data.draw, workdir)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse: usage, --help, --version
+                code = exc.code
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv

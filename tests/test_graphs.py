@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from hypothesis import given, settings
@@ -8,7 +10,6 @@ from partlyfree import (
     GraphError,
     classify_finite,
     double_cycle_witnesses,
-    first_return_cycles,
     parse_graph,
     render_graph,
     saturation_vertices,
@@ -16,6 +17,8 @@ from partlyfree import (
     to_dot,
     transpose,
 )
+
+from partlyfree.oracle import first_return_cycles
 
 from conftest import cycle_graph
 from test_paths import graphs
@@ -175,6 +178,67 @@ def test_double_cycle_witness_d(graph_d):
     assert w.first.word == ("e",)
     assert w.second.word == ("f", "g")
     w.validate(graph_d)
+
+
+def _shortlex(word):
+    return (len(word), word)
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs(max_vertices=5, max_edges=8))
+def test_witnesses_are_the_shortlex_first_cycles(g):
+    # the bounded lexicographic enumeration, sorted shortlex, starts with
+    # the two witness words; every other component carries fewer than two
+    comps = {min(c): c for c in strongly_connected_components(g)}
+    witnesses = {w.base: w for w in double_cycle_witnesses(g)}
+    for base, comp in comps.items():
+        words = sorted(first_return_cycles(g, base, 2 * len(comp)), key=_shortlex)
+        if base in witnesses:
+            w = witnesses[base]
+            assert [w.first.word, w.second.word] == words[:2]
+            w.validate(g)
+        else:
+            assert len(words) < 2
+    assert set(witnesses) <= set(comps)
+
+
+def _ladder(length):
+    """Loop z at a, two loops at b that sort before b's chain edge m0, and a
+    chain of ``length`` vertices back to a: the lexicographic search meets
+    every loop word at b before it returns, the shortlex search does not."""
+    vertices = ("a", "b") + tuple(f"c{i}" for i in range(1, length + 1))
+    edges = [("z", "a", "a"), ("d", "a", "b"), ("l0", "b", "b"), ("l1", "b", "b")]
+    edges += [("m0", "b", "c1")]
+    edges += [(f"m{i}", f"c{i}", f"c{i + 1}") for i in range(1, length)]
+    edges.append((f"m{length}", f"c{length}", "a"))
+    return Graph(vertices, tuple(edges))
+
+
+def test_ladder_witness_is_shortest_and_fast():
+    g = _ladder(40)
+    start = time.perf_counter()
+    (w,) = double_cycle_witnesses(g)
+    elapsed = time.perf_counter() - start
+    assert w.base == "a"
+    assert w.first.word == ("z",)
+    assert w.second.word == ("d",) + tuple(f"m{i}" for i in range(41))
+    assert elapsed < 1.0
+
+
+def test_long_ring_with_chord_witness_is_fast():
+    # the levels of the search hold one or two vertices each, so the
+    # cost stays linear although the second cycle runs the whole ring
+    n = 20_000
+    vertices = tuple(f"v{i:05d}" for i in range(n))
+    edges = [(f"e{i}", vertices[i], vertices[(i + 1) % n]) for i in range(n)]
+    edges.append(("chord", vertices[n // 2], vertices[n // 2 + 2]))
+    g = Graph(vertices, tuple(edges))
+    start = time.perf_counter()
+    (w,) = double_cycle_witnesses(g)
+    elapsed = time.perf_counter() - start
+    assert (len(w.first.word), len(w.second.word)) == (n - 1, n)
+    assert w.first.word[n // 2] == "chord"
+    assert elapsed < 2.0
 
 
 @pytest.mark.parametrize("n", range(1, 9))

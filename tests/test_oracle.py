@@ -4,7 +4,7 @@ import pytest
 
 from hypothesis import given, settings
 
-from partlyfree import Graph, double_cycle_witnesses
+from partlyfree import Graph, GraphError, double_cycle_witnesses, oracle
 from partlyfree.oracle import (
     agreement_run,
     has_double_cycle_bruteforce,
@@ -40,6 +40,47 @@ def test_simple_cycles_parallel_edges():
     cycles = simple_cycles(g)
     assert sorted(cycles) == [("p", "r"), ("q", "r")]
     assert has_double_cycle_bruteforce(g)
+
+
+def test_simple_cycles_budget(c3, monkeypatch):
+    # three edge steps, plus the two edges copied out with the cycle
+    monkeypatch.setattr(oracle, "CYCLE_SEARCH_BUDGET", 5)
+    assert simple_cycles(c3) == [("e1", "e2", "e3")]
+    monkeypatch.setattr(oracle, "CYCLE_SEARCH_BUDGET", 4)
+    with pytest.raises(GraphError, match="budget of 4 steps"):
+        simple_cycles(c3)
+
+
+def test_simple_cycles_cycle_3000():
+    # one cycle through 3000 vertices: no recursion, and one search from x1
+    (cycle,) = simple_cycles(cycle_graph(3000))
+    assert cycle == tuple(f"e{k}" for k in range(1, 3001))
+
+
+def _networkx_cycles(nx, g):
+    """Edge sets of the simple cycles, from networkx on the graph with every
+    edge subdivided by a node of its own, so that loops and parallel edges
+    become distinct cycles of a simple digraph."""
+    h = nx.DiGraph()
+    h.add_nodes_from(("v", v) for v in g.vertices)
+    for e in g.edges:
+        h.add_edge(("v", e.src), ("e", e.name))
+        h.add_edge(("e", e.name), ("v", e.dst))
+    return sorted(tuple(sorted(n for kind, n in c if kind == "e")) for c in nx.simple_cycles(h))
+
+
+def test_simple_cycles_match_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(2024)
+    for i in range(300):
+        g = random_graph(rng, max_vertices=4 + i % 9, max_edges=2 * (4 + i % 9))
+        cycles = simple_cycles(g)
+        assert sorted(tuple(sorted(c)) for c in cycles) == _networkx_cycles(nx, g)
+        for c in cycles:
+            # anchored at its least vertex, and a closed walk from there
+            sources = [g.edge(name).src for name in c]
+            assert sources[0] == min(sources) and len(set(sources)) == len(c)
+            assert [g.edge(name).dst for name in c] == sources[1:] + sources[:1]
 
 
 def test_bruteforce_matches_known_cases(two_loops, graph_d, fork):

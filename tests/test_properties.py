@@ -15,7 +15,6 @@ from partlyfree import (
     build_basis,
     construct_pair_double_cycle,
     double_cycle_witnesses,
-    first_return_cycles,
     left_op,
     right_op,
     unit,
@@ -24,7 +23,7 @@ from partlyfree import (
 )
 from partlyfree.catalog import builtin
 from partlyfree import catalog
-from partlyfree.oracle import sum_left_ops
+from partlyfree.oracle import first_return_cycles, sum_left_ops
 
 from test_paths import graph_and_walk, graphs
 
