@@ -51,6 +51,7 @@ from .pairs import (
     PairConstructionError,
     Summand,
     VerificationReport,
+    construct_pair,
     construct_pair_double_cycle,
     construct_pair_infinite_path,
     construct_pair_unital,

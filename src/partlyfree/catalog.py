@@ -23,6 +23,7 @@ from typing import Callable, Optional
 
 from .fock import (
     DEFAULT_BASIS_CAP,
+    BasisCapError,
     build_basis,
     fourier_coefficients,
     left_op,
@@ -39,16 +40,7 @@ from .graphs import (
     double_cycle_witnesses,
     transpose,
 )
-from .pairs import (
-    FormalIsometryPair,
-    PairConstructionError,
-    Summand,
-    construct_pair_infinite_path,
-    construct_pair_unital,
-    double_cycle_pair,
-    quiver_pair,
-    verify_materialized,
-)
+from .pairs import FormalIsometryPair, Summand, construct_pair, verify_materialized
 from .paths import Path, enumerate_paths, literal, unit, word
 
 DEFAULT_SEED = 1729
@@ -559,12 +551,6 @@ def classify_family(name: str, window: Optional[int] = None) -> PropertyReport:
     )
 
 
-def classify_entry(entry: CatalogEntry) -> PropertyReport:
-    if entry.kind == "finite":
-        return classify_finite(entry.graph)
-    return classify_family(entry.name)
-
-
 def _implications_hold(flags: dict, nonempty: bool = True) -> bool:
     ok = True
     if nonempty:
@@ -599,9 +585,16 @@ class EntryCheck:
 
 def check_entry(name: str, depth: Optional[int] = None) -> EntryCheck:
     """Regression check: classification against stored truth, plus pair
-    construction and exact verification wherever the flags promise one."""
+    construction and exact verification wherever the flags promise one.
+
+    A depth below 0 or above the basis cap, and a pair check whose
+    truncation exceeds the cap, raise :class:`GraphError`: the depth is a
+    usage error, not a failed check.
+    """
     entry = builtin(name)
     depth = entry.default_depth if depth is None else depth
+    if not 0 <= depth <= DEFAULT_BASIS_CAP:
+        raise GraphError(f"depth {depth} is outside 0..{DEFAULT_BASIS_CAP}")
     checks: list[tuple[str, bool, str]] = []
 
     checks.append(
@@ -619,10 +612,10 @@ def check_entry(name: str, depth: Optional[int] = None) -> EntryCheck:
         checks.append(("classification matches stored truth", ok, detail))
         g = entry.graph
         if entry.expected_flags["ag_partly_free"]:
-            checks.append(_pair_check("quiver pair", quiver_pair, g, depth))
-            checks.append(_pair_check("double-cycle pair", double_cycle_pair, g, depth))
+            checks.append(_pair_check(g, "quiver", depth))
+            checks.append(_pair_check(g, "double-cycle", depth))
         if entry.expected_flags["lg_unitally_partly_free"]:
-            checks.append(_pair_check("unital pair", construct_pair_unital, g, depth))
+            checks.append(_pair_check(g, "unital", depth))
     else:
         if entry.truncate is not None:
             window = entry.default_window
@@ -639,32 +632,28 @@ def check_entry(name: str, depth: Optional[int] = None) -> EntryCheck:
             except GraphError as exc:
                 checks.append(("infinite-path certificate valid", False, str(exc)))
         if entry.window_pair is not None and entry.expected_flags["lg_partly_free"]:
-            window = entry.default_window
-            try:
-                pair = construct_pair_infinite_path(entry.name, window)
-                basis = build_basis(family_truncation(entry.name, window), depth)
-                report = verify_materialized(pair, basis)
-                checks.append(
-                    (
-                        f"windowed tail pair verifies (K={window}, N={depth})",
-                        report.passed,
-                        "; ".join(report.messages),
-                    )
-                )
-            except (PairConstructionError, GraphError) as exc:
-                checks.append(("windowed tail pair verifies", False, str(exc)))
+            checks.append(_pair_check(truncation, "infinite-path", depth))
     return EntryCheck(entry.name, tuple(checks))
 
 
-def _pair_check(label, constructor, g, depth):
+def _pair_check(g: Graph, mode: str, depth: int) -> tuple[str, bool, str]:
+    """Construct the ``mode`` pair on ``g`` and verify it at ``depth``, or
+    at its longest word where that is deeper and ``g`` is no family window.
+    A :class:`BasisCapError` propagates; other errors fail the check."""
+    label = f"{mode} pair verifies" if g.family is None else "windowed tail pair verifies"
     try:
-        pair = constructor(g)
-        needed = max(depth, pair.max_word_length())
-        basis = build_basis(g, needed)
-        report = verify_materialized(pair, basis)
-        return (f"{label} verifies (N={needed})", report.passed, "; ".join(report.messages))
-    except (PairConstructionError, GraphError) as exc:
-        return (f"{label} verifies", False, str(exc))
+        pair = construct_pair(g, mode)
+        if g.family is None:
+            depth = max(depth, pair.max_word_length())
+            at = f"N={depth}"
+        else:
+            at = f"K={g.family[1]}, N={depth}"
+        report = verify_materialized(pair, build_basis(g, depth))
+    except BasisCapError:
+        raise
+    except GraphError as exc:
+        return (label, False, str(exc))
+    return (f"{label} ({at})", report.passed, "; ".join(report.messages))
 
 
 def example_pair_partly_free_D(g: Optional[Graph] = None) -> FormalIsometryPair:

@@ -26,16 +26,7 @@ from .graphs import (
     parse_graph,
     to_dot,
 )
-from .pairs import (
-    MODES,
-    PairConstructionError,
-    construct_pair_infinite_path,
-    construct_pair_unital,
-    double_cycle_pair,
-    pair_from_json,
-    quiver_pair,
-    verify_materialized,
-)
+from .pairs import MODES, PairConstructionError, construct_pair, pair_from_json, verify_materialized
 from .paths import path_from_literal
 
 USAGE_ERROR = 1
@@ -153,29 +144,6 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _build_pair(source: _Source, mode: str, window: Optional[int]):
-    if source.is_family:
-        if mode != "infinite-path":
-            raise PairConstructionError(
-                f"catalog family {source.entry.name!r} is verified through its "
-                "windowed tail construction; use --mode infinite-path"
-            )
-        k = window if window is not None else source.entry.default_window
-        return construct_pair_infinite_path(source.entry.name, k)
-    g = source.graph
-    if mode == "quiver":
-        return quiver_pair(g)
-    if mode == "unital":
-        return construct_pair_unital(g)
-    if mode == "double-cycle":
-        return double_cycle_pair(g)
-    if mode == "infinite-path":
-        raise PairConstructionError(
-            "infinite-path pairs exist only for catalog families with a certificate"
-        )
-    raise PairConstructionError(f"unknown mode {mode!r}")
-
-
 def _cmd_verify(args) -> int:
     source = _resolve(args.graph, args.window)
     if source.graph is None:
@@ -189,7 +157,7 @@ def _cmd_verify(args) -> int:
                 raise PairConstructionError(f"malformed pair file: {exc}") from None
         pair = pair_from_json(source.graph, obj)
     else:
-        pair = _build_pair(source, args.mode, args.window)
+        pair = construct_pair(source.graph, args.mode)
     basis = build_basis(source.graph, args.depth, cap=args.cap)
     report = verify_materialized(pair, basis)
     print(f"graph: {source.label}   mode: {pair.mode}   dim: {basis.dim}")
@@ -204,7 +172,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_construct(args) -> int:
     source = _resolve(args.graph, args.window)
-    pair = _build_pair(source, args.mode, args.window)
+    if source.graph is None:
+        print(f"{source.label} has no finite window", file=sys.stderr)
+        return USAGE_ERROR
+    pair = construct_pair(source.graph, args.mode)
     print(json.dumps(pair.to_json(), indent=2, sort_keys=True))
     return 0
 

@@ -36,7 +36,7 @@ from .graphs import (
     transpose,
 )
 from .pairs import Summand
-from .paths import Path, enumerate_paths, is_left_divisor
+from .paths import enumerate_paths, is_left_divisor
 
 DEFAULT_SEED = 1729
 
@@ -248,14 +248,6 @@ def _candidate_operators(
             if a.source != b.source:
                 candidates.append((a, b))
     return candidates
-
-
-def _cross_divisible(u_words: list[Path], v_words: list[Path]) -> bool:
-    for a in u_words:
-        for b in v_words:
-            if is_left_divisor(a, b) or is_left_divisor(b, a):
-                return True
-    return False
 
 
 def search_isometry_pairs(

@@ -5,20 +5,40 @@ A graph property becomes an operator fact through an explicit pair
 projections: U = sum_k L_{u_k}, V = sum_k L_{v_k}, the summand words
 indexed by pairwise distinct source vertices.
 
-Three constructions are provided:
+Three constructions are provided, chosen by mode in :func:`construct_pair`:
 
-* double-cycle: from distinct first-return cycles w1 != w2 at x, the
-  words u_k = w1^(2k-1) w2 r_k and v_k = w1^(2k) w2 r_k, where r_k runs
-  from the k-th vertex that reaches x down to x.  Distinct exponents make
-  every cross product L_a* L_b vanish: a nonzero product needs one word
-  to be a left factor of the other, which would place an interior edge
-  with source x inside a first-return cycle.
+* double-cycle: from the double-cycle witness at the least base x, with
+  distinct first-return cycles w1 != w2, the words u_k = w1^(2k-1) w2 r_k
+  and v_k = w1^(2k) w2 r_k, where r_k is a shortest path from the k-th
+  vertex that reaches x down to x.  The unital pair splits the vertices
+  into parts, one per witness base, and gives each part these words.
 * infinite-path: a finite window of the tail construction for the
   built-in countable families (u_k, v_k run from the k-th window vertex
   to the (2k)-th and (2k+1)-th).
 * quiver: the single-summand pair (L_{w1}, L_{w2}), which keeps the
   initial projection a finite sum of vertex projections as the norm
   closed algebra requires.
+
+Why no double-cycle word is a left factor of another, which is what
+makes every cross product L_a* L_b vanish (a left factor of b is a word
+that b ends with, in traversal order, at the same range):
+
+1. A closed path at x factors uniquely into first-return cycles, since
+   the edges with source x are exactly the first edges of the cycles.
+2. r_k is a shortest path to x, so it meets x only at its end and no
+   edge of r_k has source x.  The edges of u_k or v_k with source x are
+   therefore exactly the first edges of its cycle blocks.
+3. Say a = w1^i w2 r_j ends b = w1^l w2 r_k.  The first edge of a's block
+   w2 has source x, so by 2 it starts a block of b, and by 1 the block
+   sequence (w2, w1 i times) ends (w2, w1 l times).  As w1 != w2 this
+   forces i == l: equal cycle sequences, equal exponents.  Inside a part
+   the exponent 2k - 1 or 2k names the summand, and its parity separates
+   u from v, so a and b are one summand.
+4. Parts with different bases end at different vertices, and a left
+   factor shares the range of the word it divides.
+
+:func:`_formally_orthogonal` is still run by every constructor, as a
+guard that raises and names the two words if this ever fails.
 
 Everything is verified a posteriori on a truncated Fock space, exactly,
 with integers and sets on the pairs' 0/1 partial maps; no identity is
@@ -30,7 +50,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 from .fock import FockBasis, left_map
 from .graphs import (
@@ -38,11 +57,8 @@ from .graphs import (
     Graph,
     GraphError,
     double_cycle_witnesses,
-    saturation_vertices,
 )
-from .paths import Path, is_left_divisor, literal, path_from_literal, word
-
-_RETRY_BOUND = 8
+from .paths import Path, literal, path_from_literal, word
 
 MODES = ("double-cycle", "infinite-path", "unital", "quiver")
 
@@ -123,157 +139,149 @@ def pair_from_json(g: Graph, obj) -> FormalIsometryPair:
     return FormalIsometryPair(_field(obj, "mode", str), su, sv, frozenset(initial))
 
 
-def _shortest_word(g: Graph, frm: str, to: str) -> Optional[tuple[str, ...]]:
-    """Lexicographically least shortest edge word from ``frm`` to ``to``."""
-    if frm == to:
-        return ()
-    visited = {frm}
-    frontier: dict[str, tuple[str, ...]] = {frm: ()}
+def _reverse_distances(g: Graph, base: str) -> dict[str, int]:
+    """The length of a shortest path to ``base`` from every vertex that
+    reaches it: one breadth-first search along in-edges."""
+    dist = {base: 0}
+    frontier = [base]
     while frontier:
-        nxt: dict[str, tuple[str, ...]] = {}
-        for v, w in frontier.items():
-            for e in g.out_edges(v):
-                if e.dst in visited:
-                    continue
-                cand = w + (e.name,)
-                if e.dst not in nxt or cand < nxt[e.dst]:
-                    nxt[e.dst] = cand
-        if to in nxt:
-            return nxt[to]
-        visited.update(nxt)
-        frontier = nxt
-    return None
+        level = []
+        for v in frontier:
+            for e in g.in_edges(v):
+                if e.src not in dist:
+                    dist[e.src] = dist[v] + 1
+                    level.append(e.src)
+        frontier = level
+    return dist
 
 
-def _formally_orthogonal(pair: FormalIsometryPair) -> bool:
-    """No word is a left factor of another: every cross product vanishes."""
-    words = [s.word for s in pair.u_summands + pair.v_summands]
-    for i, a in enumerate(words):
-        for b in words[i + 1:]:
-            if is_left_divisor(a, b) or is_left_divisor(b, a):
-                return False
-    return True
-
-
-def _double_cycle_summands(
-    g: Graph,
-    witness: DoubleCycleWitness,
-    members: Sequence[str],
-    offset: int,
+def _part_summands(
+    g: Graph, witness: DoubleCycleWitness, members: list[str], dist: dict[str, int]
 ) -> tuple[list[Summand], list[Summand]]:
+    """u_k = w1^(2k-1) w2 r_k and v_k = w1^(2k) w2 r_k for the k-th of
+    ``members`` (k from 1), with ``dist`` the distances to the witness base.
+
+    r_k takes, at every step, the least-named out-edge that comes one step
+    closer to the base: the least shortest path in traversal order.
+    """
     w1, w2 = witness.first.word, witness.second.word
     us, vs = [], []
     for k, xk in enumerate(members, start=1):
-        r = _shortest_word(g, xk, witness.base)
-        if r is None:
-            raise PairConstructionError(f"vertex {xk!r} does not reach {witness.base!r}")
+        r, at = [], xk
+        while dist[at]:
+            e = next(e for e in g.out_edges(at) if dist.get(e.dst) == dist[at] - 1)
+            r.append(e.name)
+            at = e.dst
         # traversal order: connecting path first, then w2, then the w1 blocks
-        us.append(Summand(xk, word(g, r + w2 + w1 * (2 * k - 1 + offset))))
-        vs.append(Summand(xk, word(g, r + w2 + w1 * (2 * k + offset))))
+        head = tuple(r) + w2
+        us.append(Summand(xk, word(g, head + w1 * (2 * k - 1))))
+        vs.append(Summand(xk, word(g, head + w1 * (2 * k))))
     return us, vs
 
 
-def construct_pair_double_cycle(g: Graph, witness: DoubleCycleWitness) -> FormalIsometryPair:
-    """Pair witnessing partial freeness from a double-cycle.
+def _formally_orthogonal(pair: FormalIsometryPair) -> None:
+    """Raise unless no summand word is a left factor of another, that is
+    unless every cross product L_a* L_b vanishes.
 
-    The summand index set is every vertex whose saturation contains the
-    witness base, ordered lexicographically; connecting paths are
-    shortest with lexicographic tie-break.  Orthogonality holds by the
-    exponent design; it is still checked symbolically, and in the
-    (never observed) event of a word coincidence the exponents are
-    shifted and the construction retried rather than emitting an
-    unverified pair.
+    a is a left factor of b iff the key ``(range,) + reversed edges`` of a
+    is a prefix of that of b.  Among sorted keys, a key that is a prefix of
+    another is a prefix of the next one, so comparing neighbours suffices.
     """
-    witness.validate(g)
-    base = witness.base
-    members = sorted(v for v in g.vertices if base in saturation_vertices(g, v))
-    for attempt in range(_RETRY_BOUND):
-        us, vs = _double_cycle_summands(g, witness, members, 2 * len(members) * attempt)
-        pair = FormalIsometryPair("double-cycle", tuple(us), tuple(vs), frozenset(members))
-        if _formally_orthogonal(pair):
-            return pair
-    raise PairConstructionError(
-        f"no orthogonal word family found at {base!r} after {_RETRY_BOUND} exponent shifts"
-    )
+    words = [s.word for s in pair.u_summands + pair.v_summands]
+    keys = sorted(((p.target,) + p.edges[::-1], i) for i, p in enumerate(words))
+    for (a, i), (b, j) in zip(keys, keys[1:]):
+        if b[: len(a)] == a:
+            raise PairConstructionError(
+                f"summand words {literal(words[i])} and {literal(words[j])} interfere: "
+                "the first is a left factor of the second"
+            )
 
 
-def double_cycle_pair(g: Graph) -> FormalIsometryPair:
-    """The double-cycle pair at the first witness (least base vertex)."""
+def _first_witness(g: Graph) -> DoubleCycleWitness:
     witnesses = double_cycle_witnesses(g)
     if not witnesses:
         raise PairConstructionError("graph has no double-cycle")
-    return construct_pair_double_cycle(g, witnesses[0])
+    return witnesses[0]
+
+
+def construct_pair_double_cycle(g: Graph) -> FormalIsometryPair:
+    """Pair witnessing partial freeness from the double-cycle at the least
+    base x.
+
+    The summands are indexed by every vertex that reaches x, in name order,
+    and carry the words of :func:`_part_summands`; the module docstring
+    proves that no word is a left factor of another.
+    """
+    witness = _first_witness(g)
+    dist = _reverse_distances(g, witness.base)
+    members = sorted(dist)
+    us, vs = _part_summands(g, witness, members, dist)
+    pair = FormalIsometryPair("double-cycle", tuple(us), tuple(vs), frozenset(members))
+    _formally_orthogonal(pair)
+    return pair
 
 
 def construct_pair_unital(g: Graph) -> FormalIsometryPair:
     """Unital pair for a finite graph with the uniform double-cycle property.
 
-    The vertex set is partitioned by the first (lexicographically) double
-    cycle each vertex reaches; each part contributes summands by the
-    double-cycle recipe, so the initial set is the whole vertex set and
-    the materialized operators are isometries up to the interior level.
+    Taking the witnesses in base order, the part of a base is the vertices
+    that reach it and no earlier base, so each vertex joins the least base
+    it reaches.  Each part contributes summands by the double-cycle recipe
+    at its base, so the initial set is the whole vertex set and the
+    materialized operators are isometries up to the interior level.
     """
     if not g.vertices:
         raise PairConstructionError("cannot build a unital pair over the empty graph")
-    witnesses = double_cycle_witnesses(g)
-    assignments: dict[str, DoubleCycleWitness] = {}
+    us: list[Summand] = []
+    vs: list[Summand] = []
+    assigned: set[str] = set()
+    for witness in double_cycle_witnesses(g):
+        dist = _reverse_distances(g, witness.base)
+        members = sorted(dist.keys() - assigned)
+        assigned.update(members)
+        part_u, part_v = _part_summands(g, witness, members, dist)
+        us += part_u
+        vs += part_v
     for v in g.vertices:
-        reach = saturation_vertices(g, v)
-        for w in witnesses:
-            if w.base in reach:
-                assignments[v] = w
-                break
-        else:
+        if v not in assigned:
             raise PairConstructionError(
                 f"the saturation of vertex {v!r} contains no double-cycle; "
                 "the graph is not uniformly aperiodic"
             )
-    for attempt in range(_RETRY_BOUND):
-        us: list[Summand] = []
-        vs: list[Summand] = []
-        for w in witnesses:
-            members = sorted(v for v, assigned in assignments.items() if assigned is w)
-            if not members:
-                continue
-            offset = 2 * len(members) * attempt
-            part_u, part_v = _double_cycle_summands(g, w, members, offset)
-            us.extend(part_u)
-            vs.extend(part_v)
-        pair = FormalIsometryPair("unital", tuple(us), tuple(vs), frozenset(g.vertices))
-        if _formally_orthogonal(pair):
-            return pair
-    raise PairConstructionError(
-        f"no orthogonal word family found after {_RETRY_BOUND} exponent shifts"
-    )
-
-
-def quiver_pair(g: Graph) -> FormalIsometryPair:
-    """The norm-closed witness (L_{w1}, L_{w2}) from one double-cycle."""
-    witnesses = double_cycle_witnesses(g)
-    if not witnesses:
-        raise PairConstructionError("graph has no double-cycle")
-    w = witnesses[0]
-    u = Summand(w.base, word(g, w.first.word))
-    v = Summand(w.base, word(g, w.second.word))
-    pair = FormalIsometryPair("quiver", (u,), (v,), frozenset({w.base}))
-    if not _formally_orthogonal(pair):  # distinct first-return cycles never divide
-        raise PairConstructionError("double-cycle words unexpectedly interfere")
+    pair = FormalIsometryPair("unital", tuple(us), tuple(vs), frozenset(g.vertices))
+    _formally_orthogonal(pair)
     return pair
 
 
-def construct_pair_infinite_path(family: str, window: int) -> FormalIsometryPair:
-    """Finite window of the tail construction for a built-in family.
+def quiver_pair(g: Graph) -> FormalIsometryPair:
+    """The norm-closed witness (L_{w1}, L_{w2}) from the double-cycle at the
+    least base; distinct first-return cycles are never left factors of one
+    another."""
+    witness = _first_witness(g)
+    u = Summand(witness.base, word(g, witness.first.word))
+    v = Summand(witness.base, word(g, witness.second.word))
+    pair = FormalIsometryPair("quiver", (u,), (v,), frozenset({witness.base}))
+    _formally_orthogonal(pair)
+    return pair
 
-    The words live on the family's truncation at the same window; the
-    summand list is the part of the infinite sum whose words stay inside
-    the window.
+
+def construct_pair_infinite_path(g: Graph) -> FormalIsometryPair:
+    """Finite window of the tail construction on the window ``g`` of a
+    built-in family, which ``g.family`` names as ``(family, K)``.
+
+    The summand list is the part of the infinite sum whose words stay
+    inside the window.
     """
     from . import catalog  # deferred: catalog builds on this module
 
-    entry = catalog.builtin(family)
+    if g.family is None:
+        raise PairConstructionError(
+            "infinite-path pairs exist only for catalog families with a certificate"
+        )
+    name, window = g.family
+    entry = catalog.builtin(name)
     if entry.certificate is None or entry.window_pair is None:
         raise PairConstructionError(f"family {entry.name!r} carries no infinite-path certificate")
-    g = catalog.family_truncation(entry.name, window)
     triples = entry.window_pair(window)
     if not triples:
         raise PairConstructionError(
@@ -284,9 +292,27 @@ def construct_pair_infinite_path(family: str, window: int) -> FormalIsometryPair
     pair = FormalIsometryPair(
         "infinite-path", us, vs, frozenset(s.source for s in us)
     )
-    if not _formally_orthogonal(pair):
-        raise PairConstructionError(f"window words of {entry.name!r} unexpectedly interfere")
+    _formally_orthogonal(pair)
     return pair
+
+
+def construct_pair(g: Graph, mode: str) -> FormalIsometryPair:
+    """The pair of ``mode`` (one of :data:`MODES`) on ``g``.  The window of
+    a built-in family takes only the infinite-path mode."""
+    if mode == "infinite-path":
+        return construct_pair_infinite_path(g)
+    if g.family is not None:
+        raise PairConstructionError(
+            f"catalog family {g.family[0]!r} is verified through its "
+            "windowed tail construction; use --mode infinite-path"
+        )
+    if mode == "double-cycle":
+        return construct_pair_double_cycle(g)
+    if mode == "unital":
+        return construct_pair_unital(g)
+    if mode == "quiver":
+        return quiver_pair(g)
+    raise PairConstructionError(f"unknown mode {mode!r}")
 
 
 @dataclass(frozen=True)

@@ -110,9 +110,9 @@ def test_criterion_2_example_pair_identity():
 
 def test_criterion_3_cycle_inf_window():
     with _Timer() as t:
-        pair = construct_pair_infinite_path("cycle_inf", 17)
-        assert sorted(pair.initial_set) == [f"x{k}" for k in range(1, 9)]
         g = family_truncation("cycle_inf", 17)
+        pair = construct_pair_infinite_path(g)
+        assert sorted(pair.initial_set) == [f"x{k}" for k in range(1, 9)]
         b = build_basis(g, 8)
         mat = materialize(pair, b)
         u = oracle.sum_left_ops(b, pair.u_summands)
@@ -153,7 +153,7 @@ def test_criterion_4_constructed_pair_soundness(tmp_path, capsys):
         assert graphs, "catalog lost its double-cycle examples"
         for name, g in graphs:
             for pair in (
-                construct_pair_double_cycle(g, double_cycle_witnesses(g)[0]),
+                construct_pair_double_cycle(g),
                 quiver_pair(g),
             ):
                 depth = 2 * pair.max_word_length()
@@ -254,16 +254,15 @@ def test_criterion_9_standard_form():
         cases = []
         for name, g in _double_cycle_catalog_graphs():
             for pair in (
-                construct_pair_double_cycle(g, double_cycle_witnesses(g)[0]),
+                construct_pair_double_cycle(g),
                 quiver_pair(g),
                 construct_pair_unital(g),
             ):
                 cases.append((g, pair, 2 * pair.max_word_length()))
         d = builtin("partly_free_D").graph
         cases.append((d, example_pair_partly_free_D(d), 8))
-        cases.append(
-            (family_truncation("cycle_inf", 9), construct_pair_infinite_path("cycle_inf", 9), 6)
-        )
+        window = family_truncation("cycle_inf", 9)
+        cases.append((window, construct_pair_infinite_path(window), 6))
         for g, pair, depth in cases:
             b = build_basis(g, depth)
             mat = materialize(pair, b)

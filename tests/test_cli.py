@@ -197,6 +197,11 @@ def test_construct_window_flag(capsys):
     assert pair["summands_v"][0] == {"source": "x1", "word": "e2.e1"}
 
 
+def test_construct_family_without_window_errors(capsys):
+    code, out, err = run(capsys, "construct", "rationals_Q", "--mode", "infinite-path")
+    assert (code, out, err) == (1, "", "rationals_Q has no finite window\n")
+
+
 def test_construct_deterministic(capsys):
     _, out1, _ = run(capsys, "construct", "n_loops(2)", "--mode", "quiver")
     _, out2, _ = run(capsys, "construct", "n_loops(2)", "--mode", "quiver")
@@ -299,6 +304,23 @@ def test_catalog_check(capsys):
 def test_catalog_check_needs_name(capsys):
     code, _, err = run(capsys, "catalog", "check")
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "name,depth",
+    [("cycle_inf", "3000000"), ("cycle_inf", "-1"), ("n_loops(2)", "-1"), ("n_loops(2)", "2000001")],
+)
+def test_catalog_check_refuses_an_unusable_depth(capsys, name, depth):
+    code, out, err = run(capsys, "catalog", "check", name, "--depth", depth)
+    assert (code, out) == (1, "")
+    assert err == f"error: depth {depth} is outside 0..2000000\n"
+
+
+def test_catalog_check_over_the_cap_is_a_usage_error(capsys):
+    # n_loops(2) at depth 25 has 2**26 - 1 paths, more than the cap
+    code, out, err = run(capsys, "catalog", "check", "n_loops(2)", "--depth", "25")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "cap" in err
 
 
 def test_depth_cap_guard(capsys):

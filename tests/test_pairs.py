@@ -1,7 +1,12 @@
 import dataclasses
 import json
+import random
+import time
 
 import pytest
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partlyfree import (
     DoubleCycleWitness,
@@ -11,10 +16,12 @@ from partlyfree import (
     SparseOp,
     Summand,
     build_basis,
+    construct_pair,
     construct_pair_double_cycle,
     construct_pair_infinite_path,
     construct_pair_unital,
     double_cycle_witnesses,
+    enumerate_paths,
     left_op,
     length_projection,
     literal,
@@ -28,6 +35,7 @@ from partlyfree import (
 )
 from partlyfree import catalog, oracle
 from partlyfree.graphs import CycleWitness
+from partlyfree.pairs import _formally_orthogonal
 
 from conftest import cycle_graph
 
@@ -39,7 +47,7 @@ def _summand_literals(summands):
 # ---------------------------------------------------------------- double-cycle
 
 def test_double_cycle_pair_on_d(graph_d):
-    pair = construct_pair_double_cycle(graph_d, double_cycle_witnesses(graph_d)[0])
+    pair = construct_pair_double_cycle(graph_d)
     assert pair.initial_set == {"x", "y"}
     assert _summand_literals(pair.u_summands) == [("x", "e.g.f"), ("y", "e.e.e.g.f.g")]
     assert _summand_literals(pair.v_summands) == [("x", "e.e.g.f"), ("y", "e.e.e.e.g.f.g")]
@@ -48,7 +56,7 @@ def test_double_cycle_pair_on_d(graph_d):
 
 
 def test_double_cycle_pair_on_two_loops(two_loops):
-    pair = construct_pair_double_cycle(two_loops, double_cycle_witnesses(two_loops)[0])
+    pair = construct_pair_double_cycle(two_loops)
     assert _summand_literals(pair.u_summands) == [("x", "e.f")]
     assert _summand_literals(pair.v_summands) == [("x", "e.e.f")]
     report = verify_materialized(pair, build_basis(two_loops, 6))
@@ -56,20 +64,14 @@ def test_double_cycle_pair_on_two_loops(two_loops):
 
 
 def test_double_cycle_pair_skips_unreachable(d_with_sink):
-    pair = construct_pair_double_cycle(d_with_sink, double_cycle_witnesses(d_with_sink)[0])
+    pair = construct_pair_double_cycle(d_with_sink)
     assert pair.initial_set == {"x", "y"}
     assert all(s.source != "z" for s in pair.u_summands + pair.v_summands)
 
 
-def test_double_cycle_rejects_bad_witness(graph_d, two_loops):
-    foreign = double_cycle_witnesses(two_loops)[0]
-    with pytest.raises(Exception):
-        construct_pair_double_cycle(graph_d, foreign)
-
-
 def test_cross_terms_vanish(graph_d):
     # distinct summand sources: L_{u_k}* L_{u_j} == 0 for k != j
-    pair = construct_pair_double_cycle(graph_d, double_cycle_witnesses(graph_d)[0])
+    pair = construct_pair_double_cycle(graph_d)
     b = build_basis(graph_d, 10)
     for side in (pair.u_summands, pair.v_summands):
         ops = [left_op(b, s.word) for s in side]
@@ -77,6 +79,77 @@ def test_cross_terms_vanish(graph_d):
             for j, c in enumerate(ops):
                 if i != j:
                     assert (a.adjoint() * c).is_zero()
+
+
+def _tail_graph(n):
+    """Loops l0, l1 at b and a path t0 -> t1 -> ... -> t(n-1) -> b."""
+    ts = [f"t{i}" for i in range(n)]
+    edges = [("l0", "b", "b"), ("l1", "b", "b")]
+    edges += [(f"m{i}", ts[i], ts[i + 1]) for i in range(n - 1)]
+    edges.append((f"m{n - 1}", ts[-1], "b"))
+    return Graph(("b",) + tuple(ts), tuple(edges))
+
+
+def test_double_cycle_pair_on_a_long_tail_is_fast():
+    g = _tail_graph(600)
+    start = time.perf_counter()
+    pair = construct_pair_double_cycle(g)
+    elapsed = time.perf_counter() - start
+    assert len(pair.u_summands) == 601
+    tail = ".".join(f"m{i}" for i in reversed(range(600)))
+    assert _summand_literals(pair.u_summands)[:2] == [("b", "l0.l1"), ("t0", "l0.l0.l0.l1." + tail)]
+    assert elapsed < 3.0
+
+
+def test_orthogonality_guard_names_both_words(two_loops):
+    pair = FormalIsometryPair(
+        "double-cycle",
+        (Summand("x", word(two_loops, ("e",))),),
+        (Summand("x", word(two_loops, ("f", "e"))),),  # the literal e.f
+        frozenset({"x"}),
+    )
+    with pytest.raises(PairConstructionError, match=r"summand words e and e\.f interfere"):
+        _formally_orthogonal(pair)
+
+
+def _reference_word_prefix(paths, source, base):
+    """The least traversal-order word among the shortest paths from
+    ``source`` to ``base`` in ``paths``."""
+    lengths = {len(p) for p in paths if p.source == source and p.target == base}
+    d = min(lengths)
+    return min(p.edges for p in paths if p.source == source and p.target == base and len(p) == d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32))
+def test_pair_recipe_matches_bruteforce_paths(seed):
+    g = oracle.random_graph(random.Random(seed), max_vertices=6, max_edges=9)
+    witnesses = double_cycle_witnesses(g)
+    if not witnesses:
+        return
+    # a shortest path has fewer edges than the graph has vertices
+    paths = enumerate_paths(g, len(g.vertices) - 1)
+    bases = sorted(w.base for w in witnesses)
+    reaches = {v: {p.target for p in paths if p.source == v} for v in g.vertices}
+    pairs = [construct_pair(g, "double-cycle")]
+    if all(reaches[v] & set(bases) for v in g.vertices):
+        pairs.append(construct_pair(g, "unital"))
+    else:
+        with pytest.raises(PairConstructionError, match="not uniformly aperiodic"):
+            construct_pair(g, "unital")
+    for pair in pairs:
+        for s in pair.u_summands + pair.v_summands:
+            base = s.word.target
+            if pair.mode == "unital":
+                # each source joins the least base it reaches
+                assert base == min(b for b in bases if b in reaches[s.source])
+            else:
+                assert base == bases[0]
+            prefix = _reference_word_prefix(paths, s.source, base)
+            assert s.word.edges[: len(prefix)] == prefix
+    assert {s.source for s in pairs[0].u_summands} == {
+        v for v in g.vertices if bases[0] in reaches[v]
+    }
 
 
 # ---------------------------------------------------------------- unital
@@ -99,8 +172,9 @@ def test_unital_pair_on_d(graph_d):
 def test_verification_builds_no_paths(name):
     # materialize and verify_pair work on the basis arrays alone
     if name == "cycle_inf":
-        pair = construct_pair_infinite_path(name, 9)
-        b = build_basis(catalog.family_truncation(name, 9), 6)
+        g = catalog.family_truncation(name, 9)
+        pair = construct_pair_infinite_path(g)
+        b = build_basis(g, 6)
     else:
         g = catalog.builtin(name).graph
         pair = construct_pair_unital(g)
@@ -169,31 +243,31 @@ def test_quiver_rejects_cycle():
 # ---------------------------------------------------------------- infinite path
 
 def test_infinite_path_window_c_inf():
-    pair = construct_pair_infinite_path("cycle_inf", 9)
+    g = catalog.family_truncation("cycle_inf", 9)
+    pair = construct_pair_infinite_path(g)
     assert len(pair.u_summands) == 4
     assert _summand_literals(pair.u_summands)[0] == ("x1", "e1")
     assert _summand_literals(pair.v_summands)[0] == ("x1", "e2.e1")
-    g = catalog.family_truncation("cycle_inf", 9)
     report = verify_materialized(pair, build_basis(g, 6))
     assert report.passed
 
 
 def test_infinite_path_window_too_small():
     with pytest.raises(PairConstructionError, match="too small"):
-        construct_pair_infinite_path("cycle_inf", 2)
+        construct_pair_infinite_path(catalog.family_truncation("cycle_inf", 2))
 
 
 def test_infinite_path_int_line():
-    pair = construct_pair_infinite_path("int_line", 4)
-    assert len(pair.u_summands) == 4
     g = catalog.family_truncation("int_line", 4)
+    pair = construct_pair_infinite_path(g)
+    assert len(pair.u_summands) == 4
     report = verify_materialized(pair, build_basis(g, 6))
     assert report.passed
 
 
 def test_infinite_path_tree():
-    pair = construct_pair_infinite_path("tree_Gn(2)", 3)
     g = catalog.family_truncation("tree_Gn(2)", 3)
+    pair = construct_pair_infinite_path(g)
     assert pair.initial_set == {"x" + w for w in ("", "1", "2", "11", "12", "21", "22")}
     report = verify_materialized(pair, build_basis(g, 4))
     assert report.passed
@@ -201,7 +275,7 @@ def test_infinite_path_tree():
 
 def test_infinite_path_rejects_plain_graphs():
     with pytest.raises(Exception):
-        construct_pair_infinite_path("star_in", 5)
+        construct_pair_infinite_path(catalog.family_truncation("star_in", 5))
 
 
 # ---------------------------------------------------------------- materialize
@@ -216,14 +290,14 @@ def test_materialize_returns_levels(graph_d):
 
 
 def test_materialize_rejects_small_depth(graph_d):
-    pair = construct_pair_double_cycle(graph_d, double_cycle_witnesses(graph_d)[0])
+    pair = construct_pair_double_cycle(graph_d)
     with pytest.raises(PairConstructionError, match="depth"):
         materialize(pair, build_basis(graph_d, 3))
 
 
 def test_materialize_window_allows_boundary_zeros():
-    pair = construct_pair_infinite_path("cycle_inf", 17)
     g = catalog.family_truncation("cycle_inf", 17)
+    pair = construct_pair_infinite_path(g)
     b = build_basis(g, 8)
     mat = materialize(pair, b)
     u = oracle.sum_left_ops(b, pair.u_summands)
@@ -265,8 +339,8 @@ def test_verify_detects_wrong_initial_set(graph_d):
 
 
 def test_verify_blockwise_exact_on_window():
-    pair = construct_pair_infinite_path("cycle_inf", 17)
     g = catalog.family_truncation("cycle_inf", 17)
+    pair = construct_pair_infinite_path(g)
     b = build_basis(g, 8)
     mat = materialize(pair, b)
     u = oracle.sum_left_ops(b, pair.u_summands)

@@ -71,7 +71,7 @@ def test_double_cycle_pairs_verify_on_random_graphs():
         witnesses = double_cycle_witnesses(g)
         if not witnesses:
             continue
-        pair = construct_pair_double_cycle(g, witnesses[0])
+        pair = construct_pair_double_cycle(g)
         if pair.max_word_length() > 8:
             continue
         try:
@@ -98,7 +98,7 @@ def test_commutation_on_random_graphs(g, i, j):
 @pytest.mark.parametrize("name", ["n_loops(2)", "partly_free_D"])
 def test_pairs_verify_at_every_reasonable_depth(name):
     g = builtin(name).graph
-    pair = construct_pair_double_cycle(g, double_cycle_witnesses(g)[0])
+    pair = construct_pair_double_cycle(g)
     base_depth = 2 * pair.max_word_length()
     for depth in (base_depth, base_depth + 1, base_depth + 3):
         report = verify_materialized(pair, build_basis(g, depth))
@@ -109,8 +109,8 @@ def test_window_pairs_verify_at_growing_windows():
     from partlyfree import construct_pair_infinite_path
 
     for window, depth in ((5, 4), (9, 6), (13, 8)):
-        pair = construct_pair_infinite_path("cycle_inf", window)
         g = catalog.family_truncation("cycle_inf", window)
+        pair = construct_pair_infinite_path(g)
         report = verify_materialized(pair, build_basis(g, depth))
         assert report.passed, (window, depth, report.messages)
 
@@ -283,16 +283,13 @@ def test_verify_pair_agrees_with_sparse_products_on_random_sums(rng):
 
 
 def _constructed_pair(name, kind):
-    from partlyfree import construct_pair_infinite_path, construct_pair_unital, quiver_pair
-    from partlyfree.pairs import double_cycle_pair
+    from partlyfree import construct_pair
 
     if kind == "window":
-        return catalog.family_truncation(name, 9), construct_pair_infinite_path(name, 9)
+        g = catalog.family_truncation(name, 9)
+        return g, construct_pair(g, "infinite-path")
     g = builtin(name).graph
-    constructor = {"quiver": quiver_pair, "double-cycle": double_cycle_pair}.get(
-        kind, construct_pair_unital
-    )
-    return g, constructor(g)
+    return g, construct_pair(g, kind)
 
 
 def _lies(g, us, vs):
