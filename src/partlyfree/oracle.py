@@ -14,7 +14,9 @@ decision path:
 * a bounded exhaustive search for isometry pairs over cycle graphs: the
   cycle algebras contain no pair satisfying the partly-free identities,
   and the search confirms that no small sum of L_w's fakes one on the
-  truncation either.
+  truncation either.  Each candidate is a 0/1 partial map, so every
+  identity is decided on the map by injectivity and range sets, not by
+  matrix products.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .catalog import MAX_GRAPH_SIZE
-from .fock import FockBasis, SparseOp, build_basis, left_op, length_projection
+from .fock import FockBasis, SparseOp, build_basis, left_map, left_op
 from .graphs import (
     Edge,
     Graph,
@@ -36,7 +38,7 @@ from .graphs import (
     transpose,
 )
 from .pairs import Summand
-from .paths import enumerate_paths, is_left_divisor
+from .paths import Path, enumerate_paths
 
 DEFAULT_SEED = 1729
 
@@ -258,94 +260,70 @@ def search_isometry_pairs(
 ) -> list[SearchHit]:
     """Exhaustive bounded search for pairs satisfying the witness identities.
 
-    Candidates are scalar-free sums of at most ``max_summands`` L_w with
-    pairwise distinct sources and |w| <= ``max_word_length``.  A pair
-    (U, V) counts as found when, in exact arithmetic:
+    Candidates are scalar-free sums of at most ``max_summands`` (1 or 2)
+    L_w with pairwise distinct sources and |w| <= ``max_word_length``.  A
+    pair (U, V) counts as found when, in exact arithmetic:
 
     * U and V are nonzero partial isometries (U*U and V*V idempotent),
     * U*V == 0 on the full truncated space,
     * E_m U*U E_m == E_m V*V E_m != 0 with m = depth - max_word_length,
     * the range supports satisfy UU* <= U*U and VV* <= V*V after E_m.
 
-    Support comparisons are always decidable here: the matrices have
-    integer entries, and an integer self-adjoint idempotent is forced to
-    be a 0/1 diagonal (each diagonal entry is a squared column norm in
-    {0, 1}, and a unit diagonal entry pins the whole column).
+    Each condition is decided on the 0/1 partial map col -> row of the
+    candidate (:func:`fock.left_map`), with no matrix product.  The L_w of
+    a candidate have distinct sources, so their columns (paths with range
+    source(w)) are disjoint, and U is the union of their maps:
 
-    Word-level prefilters discard pairs whose orthogonality already fails
-    (a cross product L_a* L_b is nonzero iff a, b are left-factor
-    comparable, and depth >= 2 * max_word_length preserves a witness
-    entry of that) or whose diagonal initial supports provably differ;
-    every surviving candidate is checked with matrices.  On cycle graphs
-    the result must be empty.
+    * U*U is idempotent iff the map is injective.  Entry (c, c') of U*U
+      counts the rows that c and c' both map to, so U*U is a sum of
+      all-ones blocks, one per fibre; a fibre of two columns gives the
+      block [[1,1],[1,1]], whose square is twice itself.
+    * Then U*U is the projection onto the domain of the map, and UU* the
+      projection onto its range, both 0/1 diagonals in the path basis.
+    * U*V == 0 iff the ranges of U and V are disjoint: the entries are
+      nonnegative, and entry (c, c') counts the rows hit by both.
+    * E_m X E_m keeps the ordinals below ``upto(m)``.  So the compressed
+      initial projections are equal iff the compressed domains are, they
+      are nonzero iff that domain is not empty, and UU* <= U*U after E_m
+      iff the part of the range below ``upto(m)`` lies inside it.
+    * The unit at source(w) always maps to w, since |w| <= the word bound
+      <= the depth, so no candidate is zero.
+
+    So the candidates that pass alone are grouped by compressed domain,
+    and a hit is an ordered pair of one group with disjoint ranges, listed
+    by candidate index.  On cycle graphs the result must be empty.
     """
+    if max_summands not in (1, 2):
+        raise ValueError("max_summands must be 1 or 2")
     if depth is None:
         depth = 2 * max_word_length
     if depth < 2 * max_word_length:
         raise ValueError("depth must be at least twice the word bound")
     basis = build_basis(g, depth)
-    em = length_projection(basis, depth - max_word_length)
+    upto = basis.upto(depth - max_word_length)
     candidates = _candidate_operators(g, max_word_length, max_summands)
 
-    # the search space is quadratic in the candidate count, so the word
-    # divisibility relation is tabulated once over the path pool
-    pool = sorted({s.word for cand in candidates for s in cand}, key=lambda p: (p.edges, p.source))
-    pool_index = {p: i for i, p in enumerate(pool)}
-    interferes: set[tuple[int, int]] = set()
-    for i, a in enumerate(pool):
-        for j, b in enumerate(pool):
-            if is_left_divisor(a, b) or is_left_divisor(b, a):
-                interferes.add((i, j))
-    cand_words = [tuple(pool_index[s.word] for s in cand) for cand in candidates]
-    cand_sources = [frozenset(s.source for s in cand) for cand in candidates]
-    divisor_free = [
-        all((a, b) not in interferes for a, b in itertools.combinations(ws, 2))
-        for ws in cand_words
+    maps: dict[Path, dict[int, int]] = {}
+    survivors: list[tuple[int, frozenset[int], frozenset[int]]] = []
+    groups: dict[frozenset[int], list[tuple[int, frozenset[int]]]] = {}
+    for i, cand in enumerate(candidates):
+        cols: dict[int, int] = {}
+        for s in cand:
+            if s.word not in maps:
+                maps[s.word] = left_map(basis, s.word)
+            cols.update(maps[s.word])
+        rows = frozenset(cols.values())
+        if len(rows) < len(cols):
+            continue  # two columns share an image: not a partial isometry
+        dom_m = frozenset(c for c in cols if c < upto)
+        if not dom_m or not all(r in dom_m for r in rows if r < upto):
+            continue
+        survivors.append((i, dom_m, rows))
+        groups.setdefault(dom_m, []).append((i, rows))
+
+    return [
+        SearchHit(candidates[i], candidates[j])
+        for i, dom_m, rows in survivors
+        for j, rows_j in groups[dom_m]
+        if rows.isdisjoint(rows_j)
     ]
-
-    # everything but U*V is a property of one candidate; compute it once
-    profiles: dict[int, Optional[tuple]] = {}
-
-    def profile(i: int) -> Optional[tuple]:
-        """(op, adjoint, compressed initial, initial support, range support),
-        or None when the candidate is zero or not a partial isometry."""
-        if i not in profiles:
-            u = sum_left_ops(basis, candidates[i])
-            if u.is_zero():
-                profiles[i] = None
-            else:
-                ua = u.adjoint()
-                uu = ua * u
-                if uu * uu != uu:
-                    profiles[i] = None
-                else:
-                    uu_m = em * uu * em
-                    sup_init = uu_m.diagonal_01_support()
-                    sup_range = (em * (u * ua) * em).diagonal_01_support()
-                    if sup_init is None or sup_range is None:
-                        raise AssertionError("integer idempotent was not 0/1 diagonal")
-                    profiles[i] = (u, ua, uu_m, sup_init, sup_range)
-        return profiles[i]
-
-    found: list[SearchHit] = []
-    for i, cu in enumerate(candidates):
-        wu = cand_words[i]
-        u_sources = cand_sources[i]
-        for j, cv in enumerate(candidates):
-            if any((a, b) in interferes for a in wu for b in cand_words[j]):
-                continue  # U*V != 0, exactly
-            if divisor_free[i] and divisor_free[j]:
-                if u_sources != cand_sources[j]:
-                    continue  # 0/1 diagonal initial supports differ at the units
-            pu, pv = profile(i), profile(j)
-            if pu is None or pv is None:
-                continue  # zero or not a partial isometry
-            u, u_adj, uu_m, sup_uu, sup_ru = pu
-            v, _, vv_m, sup_vv, sup_rv = pv
-            if not sup_uu or uu_m != vv_m:
-                continue  # compressed initial projections differ or carry no content
-            if not (u_adj * v).is_zero():
-                continue
-            if sup_ru <= sup_uu and sup_rv <= sup_vv:
-                found.append(SearchHit(cu, cv))
-    return found

@@ -162,9 +162,11 @@ def _part_summands(
     ``members`` (k from 1), with ``dist`` the distances to the witness base.
 
     r_k takes, at every step, the least-named out-edge that comes one step
-    closer to the base: the least shortest path in traversal order.
+    closer to the base: the least shortest path in traversal order.  It
+    walks real out-edges down to the base, and w1 and w2 are cycles at the
+    base, so each word composes and is built as a :class:`Path` directly.
     """
-    w1, w2 = witness.first.word, witness.second.word
+    base, w1, w2 = witness.base, witness.first.word, witness.second.word
     us, vs = [], []
     for k, xk in enumerate(members, start=1):
         r, at = [], xk
@@ -174,8 +176,8 @@ def _part_summands(
             at = e.dst
         # traversal order: connecting path first, then w2, then the w1 blocks
         head = tuple(r) + w2
-        us.append(Summand(xk, word(g, head + w1 * (2 * k - 1))))
-        vs.append(Summand(xk, word(g, head + w1 * (2 * k))))
+        us.append(Summand(xk, Path(xk, base, head + w1 * (2 * k - 1))))
+        vs.append(Summand(xk, Path(xk, base, head + w1 * (2 * k))))
     return us, vs
 
 

@@ -1,17 +1,24 @@
+import itertools
 import random
+from typing import Optional
 
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from partlyfree import Graph, GraphError, double_cycle_witnesses, oracle
+from partlyfree import Graph, GraphError, catalog, double_cycle_witnesses, fock, oracle
+from partlyfree.fock import build_basis, length_projection
 from partlyfree.oracle import (
+    SearchHit,
+    _candidate_operators,
     agreement_run,
     has_double_cycle_bruteforce,
     random_graph,
     search_isometry_pairs,
     simple_cycles,
+    sum_left_ops,
 )
+from partlyfree.paths import is_left_divisor
 
 from conftest import cycle_graph
 from test_paths import graphs
@@ -124,3 +131,140 @@ def test_search_finds_pairs_where_they_exist(two_loops):
     assert hits
     sources = {s.source for hit in hits for s in hit.u_summands}
     assert sources == {"x"}
+
+
+def _reference_search(
+    g: Graph,
+    depth: Optional[int] = None,
+    max_word_length: int = 4,
+    max_summands: int = 2,
+) -> list[SearchHit]:
+    """The bounded search on ``SparseOp`` products of ``Fraction``s: the
+    reference for the partial-map search of :func:`search_isometry_pairs`.
+
+    Word-level prefilters discard pairs whose orthogonality already fails
+    (a cross product L_a* L_b is nonzero iff a, b are left-factor
+    comparable, and depth >= 2 * max_word_length preserves a witness
+    entry of that) or whose diagonal initial supports provably differ;
+    every surviving candidate is checked with matrices.
+    """
+    if depth is None:
+        depth = 2 * max_word_length
+    if depth < 2 * max_word_length:
+        raise ValueError("depth must be at least twice the word bound")
+    basis = build_basis(g, depth)
+    em = length_projection(basis, depth - max_word_length)
+    candidates = _candidate_operators(g, max_word_length, max_summands)
+
+    # the search space is quadratic in the candidate count, so the word
+    # divisibility relation is tabulated once over the path pool
+    pool = sorted({s.word for cand in candidates for s in cand}, key=lambda p: (p.edges, p.source))
+    pool_index = {p: i for i, p in enumerate(pool)}
+    interferes: set[tuple[int, int]] = set()
+    for i, a in enumerate(pool):
+        for j, b in enumerate(pool):
+            if is_left_divisor(a, b) or is_left_divisor(b, a):
+                interferes.add((i, j))
+    cand_words = [tuple(pool_index[s.word] for s in cand) for cand in candidates]
+    cand_sources = [frozenset(s.source for s in cand) for cand in candidates]
+    divisor_free = [
+        all((a, b) not in interferes for a, b in itertools.combinations(ws, 2))
+        for ws in cand_words
+    ]
+
+    # everything but U*V is a property of one candidate; compute it once
+    profiles: dict[int, Optional[tuple]] = {}
+
+    def profile(i: int) -> Optional[tuple]:
+        """(op, adjoint, compressed initial, initial support, range support),
+        or None when the candidate is zero or not a partial isometry."""
+        if i not in profiles:
+            u = sum_left_ops(basis, candidates[i])
+            if u.is_zero():
+                profiles[i] = None
+            else:
+                ua = u.adjoint()
+                uu = ua * u
+                if uu * uu != uu:
+                    profiles[i] = None
+                else:
+                    uu_m = em * uu * em
+                    sup_init = uu_m.diagonal_01_support()
+                    sup_range = (em * (u * ua) * em).diagonal_01_support()
+                    if sup_init is None or sup_range is None:
+                        raise AssertionError("integer idempotent was not 0/1 diagonal")
+                    profiles[i] = (u, ua, uu_m, sup_init, sup_range)
+        return profiles[i]
+
+    found: list[SearchHit] = []
+    for i, cu in enumerate(candidates):
+        wu = cand_words[i]
+        u_sources = cand_sources[i]
+        for j, cv in enumerate(candidates):
+            if any((a, b) in interferes for a in wu for b in cand_words[j]):
+                continue  # U*V != 0, exactly
+            if divisor_free[i] and divisor_free[j]:
+                if u_sources != cand_sources[j]:
+                    continue  # 0/1 diagonal initial supports differ at the units
+            pu, pv = profile(i), profile(j)
+            if pu is None or pv is None:
+                continue  # zero or not a partial isometry
+            u, u_adj, uu_m, sup_uu, sup_ru = pu
+            v, _, vv_m, sup_vv, sup_rv = pv
+            if not sup_uu or uu_m != vv_m:
+                continue  # compressed initial projections differ or carry no content
+            if not (u_adj * v).is_zero():
+                continue
+            if sup_ru <= sup_uu and sup_rv <= sup_vv:
+                found.append(SearchHit(cu, cv))
+    return found
+
+
+@pytest.mark.parametrize("max_summands", [0, 3, -1])
+def test_search_rejects_unsupported_summand_counts(c2, max_summands):
+    with pytest.raises(ValueError, match="max_summands"):
+        search_isometry_pairs(c2, max_word_length=1, max_summands=max_summands)
+
+
+def test_search_builds_no_sparse_op(two_loops, monkeypatch):
+    hits = search_isometry_pairs(two_loops, depth=4, max_word_length=2)
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the search built a SparseOp")
+
+    monkeypatch.setattr(fock.SparseOp, "__init__", refuse)
+    assert search_isometry_pairs(two_loops, depth=4, max_word_length=2) == hits
+
+
+@pytest.mark.parametrize(
+    "name, bound",
+    [("n_loops(2)", 1), ("n_loops(2)", 2), ("n_loops(3)", 1), ("n_loops(3)", 2), ("partly_free_D", 2)],
+)
+@pytest.mark.parametrize("extra", [0, 1])
+def test_search_matches_reference_where_pairs_exist(name, bound, extra):
+    # positive controls: these graphs carry witness pairs within the word
+    # bound (the cycles of partly_free_D at x are e and g.f, so bound 2), so
+    # the lists are not empty, and they must agree hit for hit, in order
+    g = catalog.builtin(name).graph
+    depth = 2 * bound + extra
+    hits = search_isometry_pairs(g, depth=depth, max_word_length=bound)
+    assert hits
+    assert hits == _reference_search(g, depth=depth, max_word_length=bound)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1, 2]),
+    st.sampled_from([0, 1]),
+    st.sampled_from([1, 2]),
+)
+def test_search_matches_sparse_op_reference(seed, bound, extra, max_summands):
+    g = random_graph(random.Random(seed), max_vertices=5, max_edges=8)
+    depth = 2 * bound + extra
+    # the reference multiplies Fraction matrices for every hit, which takes
+    # seconds to minutes on the graphs with thousands of paths at depth 5
+    assume(build_basis(g, depth).dim <= 500)
+    assert search_isometry_pairs(
+        g, depth=depth, max_word_length=bound, max_summands=max_summands
+    ) == _reference_search(g, depth=depth, max_word_length=bound, max_summands=max_summands)
