@@ -8,6 +8,7 @@ that actually failed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -276,7 +277,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call.  Reusing it
+    is safe: ``parse_args`` keeps no state on the parser, and the help width
+    and the streams are looked up each time output is written."""
     parser = _Parser(
         prog="partlyfree",
         description="Decide partly-freeness of graph operator algebras and "

@@ -182,8 +182,13 @@ def saturation_vertices(g: Graph, x: str) -> frozenset[str]:
     """
     if not g.has_vertex(x):
         raise GraphError(f"unknown vertex {x!r}")
-    seen = {x}
-    frontier = [x]
+    return _reached_from(g, {x})
+
+
+def _reached_from(g: Graph, sources: AbstractSet[str]) -> frozenset[str]:
+    """Vertices reachable from some vertex of ``sources``, sources included."""
+    seen = set(sources)
+    frontier = list(sources)
     while frontier:
         v = frontier.pop()
         for e in g.out_edges(v):
@@ -485,7 +490,9 @@ def classify_finite(g: Graph) -> PropertyReport:
     reduces to the double-cycle property, uniformly so for the uniform
     variants.  The hyper-reflexivity flag is the sufficient condition
     "the transpose graph has the uniform aperiodic path property" (the
-    commutant then contains two isometries with orthogonal ranges).
+    commutant then contains two isometries with orthogonal ranges).  It is
+    read off ``g`` itself: a vertex reaches the bases in the transpose
+    exactly when the bases reach it in ``g``.
 
     The reported witness is the one at the least base, with the two
     shortlex-least first-return cycles there (:func:`double_cycle_witnesses`).
@@ -501,7 +508,7 @@ def classify_finite(g: Graph) -> PropertyReport:
     # same shapes, so its uniform property reads off the same bases
     bases = frozenset(w.base for w in witnesses)
     uniform_dc = has_dc and len(_reaches(g, bases)) == len(g.vertices)
-    transpose_uniform = has_dc and len(_reaches(transpose(g), bases)) == len(g.vertices)
+    transpose_uniform = has_dc and len(_reached_from(g, bases)) == len(g.vertices)
     warnings = ()
     if not g.vertices:
         warnings = (

@@ -208,6 +208,11 @@ def agreement_run(
     """Compare the SCC decision with the brute-force oracle on random graphs."""
     if count < 0:
         raise GraphError("the number of random graphs must be >= 0")
+    if count * (max_vertices + max_edges) > MAX_GRAPH_SIZE:
+        raise GraphError(
+            f"{count} random graphs of up to {max_vertices + max_edges} vertices and edges "
+            f"each exceed the bound of {MAX_GRAPH_SIZE} in all"
+        )
     rng = random.Random(seed)
     disagreements = []
     for i in range(count):

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -9,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import partlyfree
 from partlyfree import catalog
-from partlyfree.cli import main
+from partlyfree.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -373,6 +376,7 @@ def test_cap_counts_the_units(tmp_path, capsys, text, depth, cap):
         ["analyze", "half_line_loops", "--window", "666668"],
         ["analyze", "star_in(1000001)"],
         ["analyze", "zigzag", "--window", "500000"],
+        ["oracle", "--random", "100000000", "--max-vertices", "1"],
     ],
     ids=lambda argv: " ".join(argv),
 )
@@ -398,6 +402,61 @@ def test_oracle_budget_exits_one(tmp_path, capsys):
     assert (code, out) == (1, "")
     assert err.startswith("error: simple-cycle search exceeded its budget")
     assert err.count("\n") == 1
+
+
+# ---------------------------------------------------------------- one parser per process
+
+def _outcome(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse: usage, --help, --version
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_main_is_reentrant(tmp_path):
+    pair = json.loads(_outcome(["construct", "partly_free_D", "--mode", "unital"])[1])
+    pair["summands_u"][0] = dict(pair["summands_v"][0])
+    lie = _pair_file(tmp_path, pair)
+    calls = [
+        ["analyze"],
+        ["--version"],
+        ["--help"],
+        ["analyze", "partly_free_D", "--json"],
+        ["verify", "partly_free_D", "--pair", lie, "--depth", "8"],
+        ["verify", "partly_free_D", "--mode", "unital", "--depth", "8"],
+        ["catalog", "check"],
+    ]
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(_outcome(argv))
+    assert [code for code, _, _ in fresh] == [1, 0, 0, 0, 2, 0, 1]
+    assert all(out or err for _, out, err in fresh)
+    for order in (range(len(calls)), reversed(range(len(calls)))):
+        for k in order:
+            assert _outcome(calls[k]) == fresh[k], calls[k]
+
+
+def test_import_builds_no_parser():
+    src = os.path.dirname(os.path.dirname(partlyfree.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", "from partlyfree import cli; print(cli.build_parser.cache_info())"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert "currsize=0" in done.stdout
+
+
+def test_main_builds_one_parser():
+    build_parser.cache_clear()
+    for k in range(20):
+        _outcome(["analyze", f"cycle({k + 1})"] if k % 2 else ["bogus"])
+    assert build_parser.cache_info().misses == 1
 
 
 # ---------------------------------------------------------------- fuzz
@@ -487,7 +546,7 @@ def _fuzz_argv(draw, workdir):
         return ["oracle"] + [
             str(x)
             for flag, value in (
-                ("--random", st.integers(-2, 4)),
+                ("--random", _SMALL_OR_HUGE),
                 ("--seed", st.integers(-5, 10**20)),
                 ("--max-vertices", st.one_of(st.integers(-2, 10), st.just(10**12))),
                 ("--max-edges", st.one_of(st.integers(-2, 12), st.just(10**12))),
@@ -520,11 +579,6 @@ def _fuzz_argv(draw, workdir):
 def test_cli_fuzz_exit_codes_and_no_traceback(data):
     with tempfile.TemporaryDirectory() as workdir:
         argv = _fuzz_argv(data.draw, workdir)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse: usage, --help, --version
-                code = exc.code
-    assert code in (0, 1, 2), (argv, code, err.getvalue())
-    assert "Traceback" not in err.getvalue(), argv
+        code, _, err = _outcome(argv)
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in err, argv

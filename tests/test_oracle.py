@@ -109,6 +109,12 @@ def test_agreement_run_small():
     assert report.agreed and report.graphs_checked == 60
 
 
+def test_agreement_run_is_bounded():
+    # 83,333 graphs of up to 8 + 16 vertices and edges stay within 2,000,000; one more does not
+    with pytest.raises(GraphError, match="2000000"):
+        agreement_run(count=83_334)
+
+
 @settings(max_examples=80)
 @given(graphs(max_vertices=6, max_edges=10))
 def test_agreement_property(g):
