@@ -20,19 +20,22 @@ always stated against the interior projections E_m (onto paths of length
 The basis is a trie of flat integer arrays (:class:`FockBasis`), one
 entry per path, so building it and applying L_w and R_w to it create no
 :class:`Path` objects; the paths themselves are built only when read,
-for literals, ``SparseOp`` work and the Fourier tables.
+for literals, ``SparseOp`` work and the Fourier tables.  L_w is read off
+the trie as a run, two strictly ascending lists of ordinals
+(:func:`left_runs` proves the order), which the exact verification of
+:mod:`pairs` decides its identities on.
 """
 
 from __future__ import annotations
 
 import hashlib
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain
-from typing import Iterable, Mapping, Optional
+from itertools import accumulate
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .graphs import Graph, GraphError
 from .paths import Path, enumerate_paths, literal, unit
@@ -135,10 +138,13 @@ def build_basis(g: Graph, depth: int, cap: int = DEFAULT_BASIS_CAP) -> FockBasis
     The size of each level (the units, then the edges, then the sum of the
     out-degrees of the previous level's targets) is checked against the
     cap before the level is allocated, so a runaway graph is refused
-    before memory runs out.  The arrays take at most 12 bytes per path (a
-    4-byte target and an 8-byte first child), about 24 MB at the default
-    cap of 2,000,000 paths; reading ``paths`` adds a few hundred bytes per
-    path on top.
+    before memory runs out.  A level past the first is the join of the
+    heads of the previous level's targets, each vertex's heads kept as
+    the bytes of an ``array("i")``, so it is built without a Python loop.
+
+    The arrays take at most 12 bytes per path (a 4-byte target and an
+    8-byte first child), about 24 MB at the default cap of 2,000,000
+    paths; reading ``paths`` adds a few hundred bytes per path on top.
     """
     if depth < 0:
         raise GraphError("depth must be >= 0")
@@ -157,8 +163,8 @@ def build_basis(g: Graph, depth: int, cap: int = DEFAULT_BASIS_CAP) -> FockBasis
 
     vertices = tuple(sorted(g.vertices))
     vid = {v: i for i, v in enumerate(vertices)}
-    heads = [[vid[e.dst] for e in g.out_edges(v)] for v in vertices]
-    degree = [len(h) for h in heads]
+    heads = [array("i", [vid[e.dst] for e in g.out_edges(v)]).tobytes() for v in vertices]
+    degree = [len(g.out_edges(v)) for v in vertices]
     check(len(vertices))
     target = array("i", range(len(vertices)))
     first_child = array("q", [0]) * len(vertices)
@@ -168,16 +174,16 @@ def build_basis(g: Graph, depth: int, cap: int = DEFAULT_BASIS_CAP) -> FockBasis
             size = len(g.edges)
         else:
             # first children of the previous level, which also give the size of this one
-            children = array("q", accumulate(map(degree.__getitem__, level), initial=len(target)))
+            children = list(accumulate(map(degree.__getitem__, level), initial=len(target)))
             size = children.pop() - len(target)
-            first_child.extend(children)
+            first_child.fromlist(children)
         if not size:
             break
         check(len(target) + size)
         if k == 1:
-            level = array("i", (vid[e.dst] for e in sorted(g.edges)))
+            level = array("i", [vid[e.dst] for e in sorted(g.edges)])
         else:
-            level = array("i", chain.from_iterable(map(heads.__getitem__, level)))
+            level = array("i", b"".join(map(heads.__getitem__, level)))
         target.extend(level)
         offsets.append(len(target))
     offsets += [len(target)] * (depth + 2 - len(offsets))
@@ -283,32 +289,80 @@ class SparseOp:
         return f"SparseOp(dim={self.basis.dim}, nnz={self.nnz})"
 
 
-def left_map(b: FockBasis, w: Path) -> dict[int, int]:
-    """The truncated L_w as its 0/1 partial map col -> row of basis
-    ordinals: v |-> wv for every path v with range source(w) and
-    |wv| <= N.  A sum of L_w over distinct sources is the union of the
-    maps, since their columns are disjoint.
+def left_runs(b: FockBasis, words: Sequence[Path]) -> list[tuple[list[int], list[int]]]:
+    """The runs of the truncated L_w, one for each of ``words``, which
+    must share one source.
 
-    The unit column maps to w itself; every longer column takes |w| child
-    steps along the edges of w, so no path is built or hashed."""
-    _check_path(b.graph, w)
-    if len(w) > b.depth:
-        return {}
-    s, target, first_child = b.vertex_id[w.source], b.target, b.first_child
-    cols = [i for i in range(b.offsets[1], b.upto(b.depth - len(w))) if target[i] == s]
-    rows = cols
-    for e in w.edges:
-        rank = b._edge[e][1]
-        rows = [first_child[i] + rank for i in rows]
-    out = {s: b.ordinal(w)}
-    out.update(zip(cols, rows))
-    return out
+    The run of L_w is its 0/1 partial map v |-> wv, for every path v with
+    range source(w) and |wv| <= N, as two lists of basis ordinals: the
+    columns v and, at the same positions, the rows wv.  A word longer than
+    the depth gives the empty run.  A sum of L_w over distinct sources is
+    the union of their runs, since their columns are disjoint.
+
+    One scan finds the columns of the shortest word that fits; each
+    longer word keeps a prefix of them (found by bisection).  The unit
+    column maps to w itself, and every longer column takes |w| child
+    steps along the edges of w; the steps along the common traversal
+    prefix of the words are taken once for all of them.  So no path is
+    built or hashed.
+
+    Both lists of a run are strictly ascending, the unit column first:
+
+    * the columns are scanned in ordinal order; the unit's ordinal is its
+      vertex id, below every path of length >= 1;
+    * the unit maps to w, and every other row wv is longer than w, as
+      |v| >= 1; ordinals grow with length, so w comes first;
+    * the other rows start as the columns and take the same child steps.
+      The columns of a run share one range, so after each step the rows
+      still share a range, and the next edge has one rank among its
+      out-edges; a step adds that rank to ``first_child``.  The children
+      of each level are contiguous in the order of their parents, and a
+      level's children follow all of its own paths, so ``first_child``
+      strictly increases over the paths that have children.  Every row
+      has a child along the next edge of w, so each step keeps the rows
+      strictly ascending.
+    """
+    for w in words:
+        _check_path(b.graph, w)
+    fits = [w for w in words if len(w) <= b.depth]
+    if not fits:
+        return [([], []) for _ in words]
+    s = b.vertex_id[fits[0].source]
+    target, first_child = b.target, b.first_child
+
+    def steps(rows: list[int], edges: tuple[str, ...]) -> list[int]:
+        for e in edges:
+            rank = b._edge[e][1]
+            rows = [first_child[i] + rank for i in rows]
+        return rows
+
+    shortest = min(map(len, fits))
+    scan = [i for i in range(b.offsets[1], b.upto(b.depth - shortest)) if target[i] == s]
+    common = 0
+    while common < shortest and len({w.edges[common] for w in fits}) == 1:
+        common += 1
+    shared = steps(scan, fits[0].edges[:common])
+    runs = []
+    for w in words:
+        if len(w) > b.depth:
+            runs.append(([], []))
+            continue
+        n = bisect_left(scan, b.upto(b.depth - len(w)))
+        runs.append(([s] + scan[:n], [b.ordinal(w)] + steps(shared[:n], w.edges[common:])))
+    return runs
+
+
+def left_map(b: FockBasis, w: Path) -> tuple[list[int], list[int]]:
+    """The truncated L_w as its run ``(cols, rows)``: two strictly
+    ascending lists of basis ordinals, the unit column first, with
+    L_w xi_cols[k] = xi_rows[k] (:func:`left_runs`)."""
+    return left_runs(b, (w,))[0]
 
 
 def left_op(b: FockBasis, w: Path) -> SparseOp:
     """The truncated left creation operator L_w (P_x for a unit)."""
     one = Fraction(1)
-    return SparseOp(b, {(row, col): one for col, row in left_map(b, w).items()})
+    return SparseOp(b, {(row, col): one for col, row in zip(*left_map(b, w))})
 
 
 def right_op(b: FockBasis, w: Path) -> SparseOp:

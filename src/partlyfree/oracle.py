@@ -46,6 +46,11 @@ DEFAULT_SEED = 1729
 # million take under a second of pure Python
 CYCLE_SEARCH_BUDGET = 2_000_000
 
+# the fixed cost of one random graph of an agreement run, in vertices and
+# edges; on a 2-core VM a run at the bound of MAX_GRAPH_SIZE takes about
+# 6 s with graphs of 1 vertex and 1 edge and about 9 s at the default sizes
+GRAPH_FIXED_COST = 4
+
 
 def first_return_cycles(
     g: Graph, base: str, max_length: int, limit: Optional[int] = None
@@ -205,13 +210,19 @@ def agreement_run(
     max_vertices: int = 8,
     max_edges: int = 16,
 ) -> AgreementReport:
-    """Compare the SCC decision with the brute-force oracle on random graphs."""
+    """Compare the SCC decision with the brute-force oracle on random graphs.
+
+    Each graph is charged its largest size plus ``GRAPH_FIXED_COST``, and
+    a run charged more than ``MAX_GRAPH_SIZE`` in all is refused, so the
+    bound limits the time of a run, tiny graphs included."""
     if count < 0:
         raise GraphError("the number of random graphs must be >= 0")
-    if count * (max_vertices + max_edges) > MAX_GRAPH_SIZE:
+    cost = max_vertices + max_edges + GRAPH_FIXED_COST
+    if count * cost > MAX_GRAPH_SIZE:
         raise GraphError(
-            f"{count} random graphs of up to {max_vertices + max_edges} vertices and edges "
-            f"each exceed the bound of {MAX_GRAPH_SIZE} in all"
+            f"{count} random graphs of up to {max_vertices + max_edges} vertices and edges, "
+            f"charged {cost} each with the cost of a graph, exceed the bound of "
+            f"{MAX_GRAPH_SIZE} in all"
         )
     rng = random.Random(seed)
     disagreements = []
@@ -315,7 +326,7 @@ def search_isometry_pairs(
         cols: dict[int, int] = {}
         for s in cand:
             if s.word not in maps:
-                maps[s.word] = left_map(basis, s.word)
+                maps[s.word] = dict(zip(*left_map(basis, s.word)))
             cols.update(maps[s.word])
         rows = frozenset(cols.values())
         if len(rows) < len(cols):

@@ -41,17 +41,20 @@ that b ends with, in traversal order, at the same range):
 guard that raises and names the two words if this ever fails.
 
 Everything is verified a posteriori on a truncated Fock space, exactly,
-with integers and sets on the pairs' 0/1 partial maps; no identity is
-claimed past the interior level at which truncation defects are expected.
+with integers and sets on the pairs' 0/1 partial maps, held as one run
+of strictly ascending column and row ordinals per summand (the proof of
+the order is in :func:`fock.left_runs`); no identity is claimed past the
+interior level at which truncation defects are expected.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
+from typing import Optional
 
-from .fock import FockBasis, left_map
+from .fock import FockBasis, left_runs
 from .graphs import (
     DoubleCycleWitness,
     Graph,
@@ -317,14 +320,20 @@ def construct_pair(g: Graph, mode: str) -> FormalIsometryPair:
     raise PairConstructionError(f"unknown mode {mode!r}")
 
 
+Run = tuple[list[int], list[int]]
+
+
 @dataclass(frozen=True)
 class MaterializedPair:
-    """U and V on a truncated Fock space, each as its 0/1 partial map
-    col -> row of basis ordinals (``SparseOp`` sums of ``left_op`` are the
-    test reference), with the interior level and per-summand levels."""
+    """U and V on a truncated Fock space, each as one run ``(cols, rows)``
+    of basis ordinals per summand, in summand order (:func:`fock.left_runs`:
+    both lists strictly ascending, the unit column first), with the
+    interior level and per-summand levels.  The runs of one operator have
+    disjoint columns, and their union is its 0/1 partial map col -> row;
+    ``SparseOp`` sums of ``left_op`` are the test reference."""
 
-    u: dict[int, int]
-    v: dict[int, int]
+    u: tuple[Run, ...]
+    v: tuple[Run, ...]
     level: int            # depth minus the longest summand word; < 0 means empty interior
     u_levels: dict[str, int]
     v_levels: dict[str, int]
@@ -333,10 +342,14 @@ class MaterializedPair:
 
 
 def materialize(pair: FormalIsometryPair, b: FockBasis) -> MaterializedPair:
-    """Build the partial maps of U and V as unions of the ``left_map`` of
-    their summand words; the columns are disjoint because the sources are.
+    """Build the runs of the summands of U and V.  The words of U and V at
+    one source go to :func:`fock.left_runs` together, which scans their
+    columns once and steps along their common traversal prefix once; in
+    the constructed pairs v_k = u_k w1, so the run of v_k costs |w1|
+    steps.  The columns of one operator are disjoint because its sources
+    are.
 
-    A word longer than the depth materializes as the zero block.  On the
+    A word longer than the depth materializes as the empty run.  On the
     window of a built-in countable family this is expected (the window
     may outrun the depth) and allowed; on any other graph, whatever the
     pair's mode, it indicates a depth chosen too small and raises.
@@ -348,12 +361,17 @@ def materialize(pair: FormalIsometryPair, b: FockBasis) -> MaterializedPair:
         )
     u_levels = {s.source: b.depth - len(s.word) for s in pair.u_summands}
     v_levels = {s.source: b.depth - len(s.word) for s in pair.v_summands}
-    u: dict[int, int] = {}
-    v: dict[int, int] = {}
-    for h, summands in ((u, pair.u_summands), (v, pair.v_summands)):
-        for s in summands:
-            h.update(left_map(b, s.word))
-    return MaterializedPair(u, v, b.depth - maxlen, u_levels, v_levels, pair, b)
+    summands = pair.u_summands + pair.v_summands
+    words: dict[str, list[Path]] = {}
+    for s in summands:
+        words.setdefault(s.source, []).append(s.word)
+    # each source's runs come back in the order of its words, so in summand order
+    runs = {x: iter(left_runs(b, ws)) for x, ws in words.items()}
+    ordered = tuple(next(runs[s.source]) for s in summands)
+    nu = len(pair.u_summands)
+    return MaterializedPair(
+        ordered[:nu], ordered[nu:], b.depth - maxlen, u_levels, v_levels, pair, b
+    )
 
 
 EXACTNESS_NOTE = "all identities checked in exact rational arithmetic (zero tolerance)"
@@ -429,17 +447,31 @@ def verify_pair(mat: MaterializedPair) -> VerificationReport:
     (d) both initial projections have the standard form sum_x P_x E_{m_x}
         over the summand sources whose words fit the depth.
 
-    U and V are the partial maps f, g of ``mat``, and each identity is
-    decided exactly with integers and sets: U*V == 0 iff f and g have
-    disjoint ranges; U*U is [f(i) == f(j)], a projection iff f is
-    injective; UU* is the diagonal of the fiber sizes of f.  ``SparseOp``
-    products and ``partial_isometry_report`` are the test reference.
+    U and V are the partial maps f, g of ``mat``, the unions of their
+    runs, and each identity is decided exactly with integers and sets:
+
+    * U*U is [f(i) == f(j)], a projection iff f is injective, that is iff
+      the image, the set of all rows, has as many members as there are
+      columns;
+    * U*V == 0 iff f and g have disjoint images;
+    * UU* is the diagonal of the fibre sizes of f;
+    * E_m keeps the ordinals below ``upto(m)``, and both lists of a run
+      are strictly ascending (:func:`fock.left_runs`), so the compressed
+      domain and range of a run are prefixes of its columns and its rows,
+      found by bisection;
+    * the columns of a run share the range vertex of its source, so the
+      longest member of dom f at that vertex is the last column of the
+      run, since ordinals grow with length.
+
+    When f is not injective, the compressed domain and range are checked
+    for repeated rows on their own.  ``SparseOp`` products and
+    ``partial_isometry_report`` are the test reference.
     """
     b, level, initial_set = mat.basis, mat.level, mat.pair.initial_set
     unknown = initial_set - set(b.graph.vertices)
     if unknown:
         raise GraphError(f"unknown vertex {min(unknown)!r}")
-    target, interior = b.target, b.upto(level)
+    interior = b.upto(level)
     # class sizes: sizes[k][x] is the number of paths of length <= k with
     # range vertex id x; the paths of length k into y are the paths of
     # length k - 1 followed by an edge into y, and once a level is empty
@@ -456,57 +488,59 @@ def verify_pair(mat: MaterializedPair) -> VerificationReport:
         paths_k = into
         sizes.append([a + c for a, c in zip(sizes[-1], paths_k)])
 
-    def longest(cols: list[int]) -> dict[int, int]:
-        """Range vertex id -> the greatest of the sorted ``cols`` there,
-        which is the longest one, since ordinals grow with length."""
-        return dict(zip(map(target.__getitem__, cols), cols))
-
     def ids(levels: dict[str, int]) -> dict[int, int]:
         return {b.vertex_id[x]: m for x, m in levels.items()}
 
-    def is_block(members, top: dict[int, int], levels: dict[int, int]) -> bool:
-        """Are ``members``, whose longest one at each range vertex id is
+    def is_block(count: int, top: dict[int, int], levels: dict[int, int]) -> bool:
+        """Are ``count`` paths, whose longest one at each range vertex id is
         ``top`` there, exactly the paths p with len(p) <= levels[target(p)]?"""
         size = sum(sizes[min(m, len(sizes) - 1)][x] for x, m in levels.items() if m >= 0)
-        return len(members) == size and all(
-            i < b.upto(levels.get(x, -1)) for x, i in top.items()
-        )
+        return count == size and all(i < b.upto(levels.get(x, -1)) for x, i in top.items())
 
-    def read(h: dict[int, int]):
-        """Return whether the partial map h is injective, the supports of
-        E U*U E (dom h in E, as a sorted list) and of E UU* E (range h in
-        E), each None when that is no 0/1 diagonal, the vertex set of the
-        standard form of U*U, None when it has none, and the longest member
-        of dom h at each range vertex id."""
-        fibers = Counter(h.values())
-        injective = len(fibers) == len(h)
-        cols = sorted(h)
-        initial = cols[:bisect_left(cols, interior)]
-        if len({h[i] for i in initial}) != len(initial):
-            initial = None
-        ranges = {r for r in fibers if r < interior}
-        if any(fibers[r] > 1 for r in ranges):
-            ranges = None
-        top = longest(cols)
+    def support(parts) -> Optional[set[int]]:
+        """The union of the lists ``parts``, None when they repeat a member."""
+        members = list(chain.from_iterable(parts))
+        union = set(members)
+        return union if len(union) == len(members) else None
+
+    def read(runs: tuple[Run, ...]):
+        """Return, for the map h of ``runs``: its number of columns, its
+        image, whether it is injective, its longest column at each range
+        vertex id, the vertex set of the standard form of U*U (None when it
+        has none), and the supports of E U*U E (dom h in E, with its
+        longest member at each range vertex id) and of E UU* E (range h in
+        E), each None when that is no 0/1 diagonal."""
+        count = sum(len(cols) for cols, _ in runs)
+        image = set(chain.from_iterable(rows for _, rows in runs))
+        injective = len(image) == count
+        # the unit's ordinal is its vertex id, and it heads every non-empty run
+        top = {cols[0]: cols[-1] for cols, _ in runs if cols}
         lengths = {x: b.length(i) for x, i in top.items()}
-        standard = injective and is_block(h, top, lengths)
+        standard = injective and is_block(count, top, lengths)
         vertex_set = frozenset(b.vertices[x] for x in top) if standard else None
-        return injective, initial, ranges, vertex_set, top
+        cuts = [(cols, rows, bisect_left(cols, interior)) for cols, rows in runs]
+        initial = None
+        if injective or support(rows[:k] for _, rows, k in cuts) is not None:
+            initial = (
+                set(chain.from_iterable(cols[:k] for cols, _, k in cuts)),
+                {cols[0]: cols[k - 1] for cols, _, k in cuts if k},
+            )
+        ranges = support(rows[:bisect_left(rows, interior)] for _, rows in runs)
+        return count, image, injective, top, vertex_set, initial, ranges
 
-    f, g = mat.u, mat.v
-    injective_u, s_u, lhs_u, vertex_set_u, top_u = read(f)
-    injective_v, s_v, lhs_v, vertex_set_v, top_v = read(g)
+    count_u, image_u, injective_u, top_u, vertex_set_u, s_u, lhs_u = read(mat.u)
+    count_v, image_v, injective_v, top_v, vertex_set_v, s_v, lhs_v = read(mat.v)
     messages: list[str] = []
-    nonzero = bool(f) and bool(g)
+    nonzero = bool(count_u) and bool(count_v)
     if not nonzero:
         messages.append("an operator materialized to zero (depth far below the word lengths?)")
-    orthogonal = set(f.values()).isdisjoint(g.values())
+    orthogonal = image_u.isdisjoint(image_v)
     if not orthogonal:
         messages.append("U*V has a nonzero entry")
 
     initial_levels = ids(dict.fromkeys(initial_set, level))
     initial_match = all(
-        s is not None and is_block(s, longest(s), initial_levels) for s in (s_u, s_v)
+        s is not None and is_block(len(s[0]), s[1], initial_levels) for s in (s_u, s_v)
     )
     if not initial_match:
         messages.append("compressed initial projections disagree")
@@ -514,14 +548,14 @@ def verify_pair(mat: MaterializedPair) -> VerificationReport:
     blockwise = (
         injective_u
         and injective_v
-        and is_block(f, top_u, ids(mat.u_levels))
-        and is_block(g, top_v, ids(mat.v_levels))
+        and is_block(count_u, top_u, ids(mat.u_levels))
+        and is_block(count_v, top_v, ids(mat.v_levels))
     )
     if not blockwise:
         messages.append("blockwise initial projection identity fails")
 
     if b.graph.family is None:
-        rhs_u, rhs_v = s_u, s_v
+        rhs_u, rhs_v = (None if s is None else s[0] for s in (s_u, s_v))
     else:
         # the right-hand side is all of E_m, which holds every range read above
         rhs_u, rhs_v = lhs_u, lhs_v

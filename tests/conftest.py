@@ -51,3 +51,11 @@ def c3():
 def d_with_sink(graph_d):
     """partly_free_D plus an isolated vertex z that cannot reach the cycles."""
     return Graph(graph_d.vertices + ("z",), graph_d.edges)
+
+
+def partial_map(runs) -> dict[int, int]:
+    """The union of a materialized operator's runs as one col -> row map;
+    the runs of one operator have disjoint columns."""
+    out = {c: r for cols, rows in runs for c, r in zip(cols, rows)}
+    assert len(out) == sum(len(cols) for cols, _ in runs)
+    return out

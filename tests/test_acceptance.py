@@ -47,6 +47,8 @@ from partlyfree.catalog import (
 )
 from partlyfree.cli import main as cli_main
 
+from conftest import partial_map
+
 
 class _Timer:
     def __enter__(self):
@@ -98,8 +100,8 @@ def test_criterion_2_example_pair_identity():
         mat = materialize(pair, b)
         u = oracle.sum_left_ops(b, pair.u_summands)
         v = oracle.sum_left_ops(b, pair.v_summands)
-        assert mat.u == {c: r for (r, c) in u.entries}
-        assert mat.v == {c: r for (r, c) in v.entries}
+        assert partial_map(mat.u) == {c: r for (r, c) in u.entries}
+        assert partial_map(mat.v) == {c: r for (r, c) in v.entries}
         e6 = length_projection(b, 6)
         assert (u.adjoint() * v).is_zero()
         assert u.adjoint() * u == e6
@@ -117,8 +119,8 @@ def test_criterion_3_cycle_inf_window():
         mat = materialize(pair, b)
         u = oracle.sum_left_ops(b, pair.u_summands)
         v = oracle.sum_left_ops(b, pair.v_summands)
-        assert mat.u == {c: r for (r, c) in u.entries}
-        assert mat.v == {c: r for (r, c) in v.entries}
+        assert partial_map(mat.u) == {c: r for (r, c) in u.entries}
+        assert partial_map(mat.v) == {c: r for (r, c) in v.entries}
         uu = u.adjoint() * u
         vv = v.adjoint() * v
         assert (u.adjoint() * v).is_zero()
@@ -270,9 +272,9 @@ def test_criterion_9_standard_form():
                 (pair.u_summands, mat.u, mat.u_levels),
                 (pair.v_summands, mat.v, mat.v_levels),
             )
-            for summands, partial_map, levels in sides:
+            for summands, runs, levels in sides:
                 op = oracle.sum_left_ops(b, summands)
-                assert partial_map == {c: r for (r, c) in op.entries}
+                assert partial_map(runs) == {c: r for (r, c) in op.entries}
                 rep = partial_isometry_report(op)
                 assert rep.is_partial_isometry and rep.failure is None
                 predicted = frozenset(x for x, m in levels.items() if m >= 0)

@@ -118,6 +118,22 @@ def test_trie_matches_enumerated_paths(depth):
     assert checked >= 20
 
 
+def test_trie_past_one_byte_vertex_ids():
+    """A level is the join of its parents' head bytes; with more than 256
+    vertices the ids take more than one byte, and the trie still gives
+    every enumerated path its ordinal, target and children."""
+    g = cycle_graph(300)
+    b = build_basis(g, 3)
+    ref = enumerate_paths(g, 3)
+    assert b.dim == len(ref) == 1200
+    assert [b.ordinal(p) for p in ref] == list(range(b.dim))
+    assert list(b.target) == [b.vertex_id[p.target] for p in ref]
+    index = {p: i for i, p in enumerate(ref)}
+    for i, p in enumerate(ref[: b.offsets[3]]):
+        for e in g.out_edges(p.target):
+            assert b.child(i, e.name) == index[Path(p.source, e.dst, p.edges + (e.name,))]
+
+
 # ---------------------------------------------------------------- generators
 
 def test_left_op_fork_single_entry(fork):

@@ -110,9 +110,30 @@ def test_agreement_run_small():
 
 
 def test_agreement_run_is_bounded():
-    # 83,333 graphs of up to 8 + 16 vertices and edges stay within 2,000,000; one more does not
+    # 71,428 graphs of up to 8 + 16 vertices and edges, charged 28 each,
+    # stay within 2,000,000; one more does not
     with pytest.raises(GraphError, match="2000000"):
-        agreement_run(count=83_334)
+        agreement_run(count=71_429)
+
+
+class _Admitted(Exception):
+    pass
+
+
+@pytest.mark.parametrize("vertices,edges", [(1, 0), (1, 1), (8, 16), (12, 24)])
+def test_agreement_run_bound_charges_each_graph(vertices, edges, monkeypatch):
+    """The bound admits the largest count whose sizes plus the fixed cost
+    of each graph stay within 2,000,000 and refuses one more graph."""
+
+    def admitted(*_args):
+        raise _Admitted
+
+    monkeypatch.setattr(oracle, "random_graph", admitted)
+    edge = oracle.MAX_GRAPH_SIZE // (vertices + edges + oracle.GRAPH_FIXED_COST)
+    with pytest.raises(_Admitted):
+        agreement_run(count=edge, max_vertices=vertices, max_edges=edges)
+    with pytest.raises(GraphError, match="exceed the bound of 2000000"):
+        agreement_run(count=edge + 1, max_vertices=vertices, max_edges=edges)
 
 
 @settings(max_examples=80)

@@ -25,6 +25,7 @@ from partlyfree.catalog import builtin
 from partlyfree import catalog
 from partlyfree.oracle import first_return_cycles, sum_left_ops
 
+from conftest import partial_map
 from test_paths import graph_and_walk, graphs
 
 
@@ -208,8 +209,8 @@ def _assert_agrees(su, sv, initial_set, b):
     pair = FormalIsometryPair("double-cycle", tuple(su), tuple(sv), frozenset(initial_set))
     mat = materialize(pair, b)
     u, v = sum_left_ops(b, su), sum_left_ops(b, sv)
-    assert mat.u == {c: r for (r, c) in u.entries}
-    assert mat.v == {c: r for (r, c) in v.entries}
+    assert partial_map(mat.u) == {c: r for (r, c) in u.entries}
+    assert partial_map(mat.v) == {c: r for (r, c) in v.entries}
     level = b.depth - max((len(s.word) for s in su + sv), default=0)
     u_levels, v_levels = _levels(su, b.depth), _levels(sv, b.depth)
     assert (mat.level, mat.u_levels, mat.v_levels) == (level, u_levels, v_levels)
