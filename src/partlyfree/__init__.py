@@ -17,15 +17,11 @@ from .fock import (
     build_basis,
     export_sparse,
     fourier_coefficients,
-    interior_projection,
     left_map,
     left_op,
     length_projection,
-    partial_isometry_report,
     reconstruct,
     right_op,
-    source_projection,
-    sum_vertex_projection,
     vertex_projection,
 )
 from .graphs import (
@@ -65,7 +61,6 @@ from .paths import (
     Path,
     compose,
     enumerate_paths,
-    is_left_divisor,
     literal,
     path_from_literal,
     unit,

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import __version__, catalog, oracle
-from .fock import SparseOp, build_basis, export_sparse, left_op, right_op, vertex_projection
+from .fock import SparseOp, build_basis, combine_runs, export_sparse, left_map, right_map
 from .graphs import (
     Graph,
     GraphError,
@@ -28,7 +28,7 @@ from .graphs import (
     to_dot,
 )
 from .pairs import MODES, PairConstructionError, construct_pair, pair_from_json, verify_materialized
-from .paths import path_from_literal
+from .paths import path_from_literal, unit
 
 USAGE_ERROR = 1
 CHECK_FAILED = 2
@@ -208,8 +208,9 @@ def _cmd_oracle(args) -> int:
 
 def _parse_op_expression(basis, text: str) -> SparseOp:
     """Sum of terms ``[q*]L:word``, ``[q*]R:word``, ``[q*]P:vertex``;
-    rationals like 3, -2/5.  Words use the path literal syntax."""
-    total = SparseOp.zero(basis)
+    rationals like 3, -2/5.  Words use the path literal syntax.  Each term
+    is a 0/1 map, and :func:`fock.combine_runs` adds them up."""
+    terms = []
     g = basis.graph
     for raw_term in text.split("+"):
         term = raw_term.strip()
@@ -233,15 +234,15 @@ def _parse_op_expression(basis, text: str) -> SparseOp:
         kind = kind.strip()
         lit = lit.strip()
         if kind == "L":
-            op = left_op(basis, path_from_literal(g, lit))
+            run = left_map(basis, path_from_literal(g, lit))
         elif kind == "R":
-            op = right_op(basis, path_from_literal(g, lit))
+            run = right_map(basis, path_from_literal(g, lit))
         elif kind == "P":
-            op = vertex_projection(basis, lit)
+            run = left_map(basis, unit(g, lit))
         else:
             raise GraphError(f"unknown operator kind {kind!r} (use L, R or P)")
-        total = total + scalar * op
-    return total
+        terms.append((scalar, run))
+    return combine_runs(basis, terms)
 
 
 def _cmd_fock(args) -> int:

@@ -18,12 +18,12 @@ always stated against the interior projections E_m (onto paths of length
 <= m) rather than by comparing raw matrices.
 
 The basis is a trie of flat integer arrays (:class:`FockBasis`), one
-entry per path, so building it and applying L_w and R_w to it create no
-:class:`Path` objects; the paths themselves are built only when read,
-for literals, ``SparseOp`` work and the Fourier tables.  L_w is read off
-the trie as a run, two strictly ascending lists of ordinals
-(:func:`left_runs` proves the order), which the exact verification of
-:mod:`pairs` decides its identities on.
+entry per path; building, hashing and applying L_w and R_w to it create
+no :class:`Path` objects, and a path is read back up the trie only where
+needed (the Fourier tables' unit columns).  L_w is read off the trie as
+a run, two strictly ascending lists of ordinals (:func:`left_runs`
+proves the order), on which :mod:`pairs` decides its identities; sums of
+q times such 0/1 maps are added into one dict by :func:`combine_runs`.
 """
 
 from __future__ import annotations
@@ -35,12 +35,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .graphs import Graph, GraphError
 from .paths import Path, enumerate_paths, literal, unit
 
 DEFAULT_BASIS_CAP = 2_000_000
+CHUNK = 1 << 10  # parents per chunk of a level in build_basis
 
 
 class BasisCapError(GraphError):
@@ -84,9 +85,10 @@ class FockBasis:
         # edge name -> (source id, rank among the source's out-edges,
         # ordinal of the one-edge path)
         rank = {e.name: r for v in self.vertices for r, e in enumerate(self.graph.out_edges(v))}
+        self._edges = sorted(self.graph.edges)
         self._edge = {
             e.name: (self.vertex_id[e.src], rank[e.name], self.offsets[1] + k)
-            for k, e in enumerate(sorted(self.graph.edges))
+            for k, e in enumerate(self._edges)
         }
 
     @property
@@ -123,24 +125,68 @@ class FockBasis:
                     return i
         raise GraphError(f"path {literal(p)} is not in the basis")
 
+    def path(self, i: int) -> Path:
+        """The path with ordinal i, read back up the trie: the parent of a
+        path i of length >= 2 is the last path j one shorter with
+        ``first_child[j] <= i`` (found by bisection, as ``first_child``
+        grows over a level, :func:`left_runs`), along the out-edge of rank
+        ``i - first_child[j]``."""
+        if not 0 <= i < self.dim:
+            raise GraphError(f"ordinal {i} is not in the basis")
+        k = self.length(i)
+        end = self.vertices[self.target[i]]
+        if k == 0:
+            return Path(end, end, ())
+        edges = []
+        for k in range(k, 1, -1):
+            j = bisect_right(self.first_child, i, self.offsets[k - 1], self.offsets[k]) - 1
+            out = self.graph.out_edges(self.vertices[self.target[j]])
+            edges.append(out[i - self.first_child[j]].name)
+            i = j
+        first = self._edges[i - self.offsets[1]]
+        edges.append(first.name)
+        return Path(first.src, end, tuple(reversed(edges)))
+
+    def literal_levels(self) -> Iterator[list[bytes]]:
+        """The UTF-8 literals of the basis paths in ordinal order, one list
+        per length up to the longest path; the children of a parent are
+        ``e.parent`` for the out-edges e of its range, by rank."""
+        yield [f"@{v}".encode() for v in self.vertices]
+        out = map(self.graph.out_edges, self.vertices)
+        prefixes = [[f"{e.name}.".encode() for e in edges] for edges in out]
+        for k in range(1, self.depth + 1):
+            lo, hi = self.offsets[k - 1], self.offsets[k]
+            if hi == self.offsets[k + 1]:
+                return
+            if k == 1:
+                level = [e.name.encode() for e in self._edges]
+            else:
+                level = [
+                    step + parent
+                    for parent, t in zip(level, self.target[lo:hi])
+                    for step in prefixes[t]
+                ]
+            yield level
+
     def basis_hash(self) -> str:
+        """SHA-256 of the depth and each basis literal and newline, 12 hex digits."""
         digest = hashlib.sha256()
         digest.update(str(self.depth).encode())
-        for p in self.paths:
-            digest.update(literal(p).encode())
-            digest.update(b"\n")
+        for level in self.literal_levels():
+            if level:
+                digest.update(b"\n".join(level))
+                digest.update(b"\n")
         return digest.hexdigest()[:12]
 
 
 def build_basis(g: Graph, depth: int, cap: int = DEFAULT_BASIS_CAP) -> FockBasis:
     """Build the depth-N truncation level by level, refusing absurd dimensions.
 
-    The size of each level (the units, then the edges, then the sum of the
-    out-degrees of the previous level's targets) is checked against the
-    cap before the level is allocated, so a runaway graph is refused
-    before memory runs out.  A level past the first is the join of the
-    heads of the previous level's targets, each vertex's heads kept as
-    the bytes of an ``array("i")``, so it is built without a Python loop.
+    A level past the first is built ``CHUNK`` parents at a time: their
+    first children, a running sum of out-degrees, give the size the level
+    reaches, which is checked against the cap before their children (the
+    join of each target's heads, kept as the bytes of an ``array("i")``)
+    are added; so a runaway graph is refused before memory runs out.
 
     The arrays take at most 12 bytes per path (a 4-byte target and an
     8-byte first child), about 24 MB at the default cap of 2,000,000
@@ -169,23 +215,22 @@ def build_basis(g: Graph, depth: int, cap: int = DEFAULT_BASIS_CAP) -> FockBasis
     target = array("i", range(len(vertices)))
     first_child = array("q", [0]) * len(vertices)
     offsets = [0, len(target)]
-    for k in range(1, depth + 1):
-        if k == 1:
-            size = len(g.edges)
-        else:
-            # first children of the previous level, which also give the size of this one
-            children = list(accumulate(map(degree.__getitem__, level), initial=len(target)))
-            size = children.pop() - len(target)
-            first_child.fromlist(children)
-        if not size:
-            break
-        check(len(target) + size)
-        if k == 1:
-            level = array("i", [vid[e.dst] for e in sorted(g.edges)])
-        else:
-            level = array("i", b"".join(map(heads.__getitem__, level)))
-        target.extend(level)
+    if depth >= 1 and g.edges:
+        check(len(target) + len(g.edges))
+        target.extend([vid[e.dst] for e in sorted(g.edges)])
         offsets.append(len(target))
+        for _ in range(2, depth + 1):
+            lo, hi = offsets[-2], offsets[-1]
+            for start in range(lo, hi, CHUNK):
+                parents = target[start : min(start + CHUNK, hi)]
+                # the parents' first children, then the end of the last one's children
+                children = list(accumulate(map(degree.__getitem__, parents), initial=len(target)))
+                check(children.pop())
+                first_child.fromlist(children)
+                target.frombytes(b"".join(map(heads.__getitem__, parents)))
+            if len(target) == hi:
+                break
+            offsets.append(len(target))
     offsets += [len(target)] * (depth + 2 - len(offsets))
     return FockBasis(g, depth, vertices, tuple(offsets), target, first_child)
 
@@ -196,7 +241,8 @@ class SparseOp:
     Entries are stored as ``(row, col) -> Fraction`` with no explicit
     zeros; equality is entrywise exact.  The adjoint is the transpose
     since every operator here has real rational entries.  Instances are
-    immutable by convention; arithmetic returns new operators.
+    immutable by convention; arithmetic returns new operators.  Results
+    nonzero by construction skip the constructor's zero filter.
     """
 
     __slots__ = ("basis", "entries")
@@ -206,13 +252,21 @@ class SparseOp:
         self.entries = {k: v for k, v in entries.items() if v != 0}
 
     @classmethod
+    def _nonzero(cls, basis: FockBasis, entries: dict) -> "SparseOp":
+        """``entries``, all known to be nonzero, neither copied nor checked."""
+        op = cls.__new__(cls)
+        op.basis = basis
+        op.entries = entries
+        return op
+
+    @classmethod
     def zero(cls, basis: FockBasis) -> "SparseOp":
-        return cls(basis, {})
+        return cls._nonzero(basis, {})
 
     @classmethod
     def identity(cls, basis: FockBasis) -> "SparseOp":
         one = Fraction(1)
-        return cls(basis, {(i, i): one for i in range(basis.dim)})
+        return cls._nonzero(basis, {(i, i): one for i in range(basis.dim)})
 
     def _check_same_basis(self, other: "SparseOp") -> None:
         if self.basis is not other.basis and (
@@ -237,17 +291,22 @@ class SparseOp:
 
     def __add__(self, other: "SparseOp") -> "SparseOp":
         self._check_same_basis(other)
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            s = out.get(k)
-            out[k] = v if s is None else s + v
-        return SparseOp(self.basis, out)
+        a, b = self.entries, other.entries
+        out = {**a, **b}
+        # only where both have an entry can the sum be zero
+        for k in a.keys() & b.keys():
+            s = a[k] + b[k]
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+        return SparseOp._nonzero(self.basis, out)
 
     def __sub__(self, other: "SparseOp") -> "SparseOp":
         return self + (-other)
 
     def __neg__(self) -> "SparseOp":
-        return SparseOp(self.basis, {k: -v for k, v in self.entries.items()})
+        return SparseOp._nonzero(self.basis, {k: -v for k, v in self.entries.items()})
 
     def __mul__(self, other):
         if isinstance(other, SparseOp):
@@ -265,7 +324,12 @@ class SparseOp:
             return SparseOp(self.basis, out)
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
-            return SparseOp(self.basis, {k: q * v for k, v in self.entries.items()})
+            if not q:
+                return SparseOp.zero(self.basis)
+            # q times each distinct entry object, once: the entries of a 0/1 map share one
+            products = {i: q * v for i, v in {id(v): v for v in self.entries.values()}.items()}
+            out = {k: products[id(v)] for k, v in self.entries.items()}
+            return SparseOp._nonzero(self.basis, out)
         return NotImplemented
 
     def __rmul__(self, other):
@@ -274,7 +338,7 @@ class SparseOp:
         return NotImplemented
 
     def adjoint(self) -> "SparseOp":
-        return SparseOp(self.basis, {(c, r): v for (r, c), v in self.entries.items()})
+        return SparseOp._nonzero(self.basis, {(c, r): v for (r, c), v in self.entries.items()})
 
     def diagonal_01_support(self) -> Optional[frozenset[int]]:
         """Support of a 0/1 diagonal matrix, or None if not of that form."""
@@ -359,22 +423,17 @@ def left_map(b: FockBasis, w: Path) -> tuple[list[int], list[int]]:
     return left_runs(b, (w,))[0]
 
 
-def left_op(b: FockBasis, w: Path) -> SparseOp:
-    """The truncated left creation operator L_w (P_x for a unit)."""
-    one = Fraction(1)
-    return SparseOp(b, {(row, col): one for col, row in zip(*left_map(b, w))})
-
-
-def right_op(b: FockBasis, w: Path) -> SparseOp:
-    """The truncated right-regular operator R_w (Q_x for a unit).
+def right_map(b: FockBasis, w: Path) -> tuple[list[int], list[int]]:
+    """The truncated right-regular operator R_w (Q_x for a unit) as its
+    0/1 partial map ``(cols, rows)``, with R_w xi_cols[k] = xi_rows[k].
 
     R_w maps the unit at target(w) to w, and v followed by an edge e to
     R_w v followed by e; so every column's image is one child step from
     the image of its parent, which has a lower ordinal.  A word longer
-    than the depth gives the zero operator."""
+    than the depth gives the empty map."""
     _check_path(b.graph, w)
     if len(w) > b.depth:
-        return SparseOp.zero(b)
+        return [], []
     out_edges = [b.graph.out_edges(v) for v in b.vertices]
     rows = {b.vertex_id[w.target]: b.ordinal(w)}
     # the parents: columns whose children v still have |vw| <= N
@@ -383,8 +442,44 @@ def right_op(b: FockBasis, w: Path) -> SparseOp:
         if image is not None:
             for e in out_edges[b.target[i]]:
                 rows[b.child(i, e.name)] = b.child(image, e.name)
-    one = Fraction(1)
-    return SparseOp(b, {(row, col): one for col, row in rows.items()})
+    return list(rows), list(rows.values())
+
+
+def left_op(b: FockBasis, w: Path) -> SparseOp:
+    """The truncated left creation operator L_w (P_x for a unit)."""
+    return combine_runs(b, [(1, left_map(b, w))])
+
+
+def right_op(b: FockBasis, w: Path) -> SparseOp:
+    """The truncated right-regular operator R_w (Q_x for a unit)."""
+    return combine_runs(b, [(1, right_map(b, w))])
+
+
+def combine_runs(
+    b: FockBasis, terms: Sequence[tuple[Fraction, tuple[list[int], list[int]]]]
+) -> SparseOp:
+    """sum_t q_t T_t for terms ``(q_t, (cols, rows))``, each T_t a 0/1 map.
+
+    An entry reached by one term shares that term's coefficient object;
+    only the entries reached by several terms are summed, and of those the
+    zero sums are dropped.  So no Fraction is multiplied, and none is
+    added or compared at an entry that one term alone reaches.
+    """
+    out: dict[tuple[int, int], Fraction] = {}
+    collided: set[tuple[int, int]] = set()
+    for q, (cols, rows) in terms:
+        if q:
+            q = Fraction(q)
+            new = dict.fromkeys(zip(rows, cols), q)
+            both = new.keys() & out.keys()
+            for k in both:
+                new[k] = out[k] + q
+            collided |= both
+            out.update(new)
+    for k in collided:
+        if not out[k]:
+            del out[k]
+    return SparseOp._nonzero(b, out)
 
 
 def _check_path(g: Graph, w: Path) -> None:
@@ -407,32 +502,10 @@ def vertex_projection(b: FockBasis, x: str) -> SparseOp:
     return left_op(b, unit(b.graph, x))
 
 
-def source_projection(b: FockBasis, x: str) -> SparseOp:
-    """Q_x: diagonal projection onto basis paths with source x."""
-    return right_op(b, unit(b.graph, x))
-
-
-def sum_vertex_projection(b: FockBasis, vertices: Iterable[str]) -> SparseOp:
-    vs = set(vertices)
-    for x in vs:
-        if not b.graph.has_vertex(x):
-            raise GraphError(f"unknown vertex {x!r}")
-    ids = {b.vertex_id[x] for x in vs}
-    one = Fraction(1)
-    return SparseOp(b, {(i, i): one for i, t in enumerate(b.target) if t in ids})
-
-
 def length_projection(b: FockBasis, max_length: int) -> SparseOp:
     """E_m: diagonal projection onto paths of length <= m (zero for m < 0)."""
     one = Fraction(1)
-    return SparseOp(b, {(i, i): one for i in range(b.upto(max_length))})
-
-
-def interior_projection(b: FockBasis, degree: int) -> SparseOp:
-    """E_{N-d}: the interior that degree-d operators map into the basis."""
-    if not 0 <= degree <= b.depth:
-        raise GraphError(f"degree must lie in 0..{b.depth}")
-    return length_projection(b, b.depth - degree)
+    return SparseOp._nonzero(b, {(i, i): one for i in range(b.upto(max_length))})
 
 
 def fourier_coefficients(a: SparseOp) -> dict[Path, Fraction]:
@@ -444,10 +517,11 @@ def fourier_coefficients(a: SparseOp) -> dict[Path, Fraction]:
     """
     b = a.basis
     table: dict[Path, Fraction] = {}
-    for i, w in enumerate(b.paths):
-        # the unit at a vertex has the vertex id as its ordinal
-        value = a.entries.get((i, b.vertex_id[w.source]))
-        if value:
+    # the unit at a vertex has the vertex id as its ordinal
+    units = b.offsets[1]
+    for r, c, value in sorted((r, c, v) for (r, c), v in a.entries.items() if c < units):
+        w = b.path(r)
+        if b.vertex_id[w.source] == c and value:
             table[w] = value
     return table
 
@@ -463,7 +537,7 @@ def reconstruct(
     """
     if mode not in ("plain", "cesaro"):
         raise GraphError(f"unknown reconstruction mode {mode!r}")
-    out = SparseOp.zero(b)
+    terms = []
     for w, coeff in sorted(table.items(), key=lambda kv: (len(kv[0]), kv[0].edges, kv[0].source)):
         if len(w) > degree:
             continue
@@ -471,77 +545,18 @@ def reconstruct(
         if mode == "cesaro":
             weight *= 1 - Fraction(len(w), degree + 1)
         if weight:
-            out = out + weight * left_op(b, w)
-    return out
-
-
-@dataclass(frozen=True)
-class PartialIsometryReport:
-    """Outcome of checking V*V for projection- and standard-form.
-
-    Initial projections of partial isometries in these algebras are sums
-    of vertex projections; on the truncation each surviving vertex class
-    is a full initial segment by length, so the decomposition is a vertex
-    set together with per-vertex interior levels.  ``level`` is the least
-    of those: V*V agrees with sum_{x in vertex_set} P_x exactly after
-    composing with E_level.
-    """
-
-    is_partial_isometry: bool
-    failure: Optional[str]
-    initial_projection: SparseOp
-    vertex_set: Optional[frozenset[str]]
-    level: Optional[int]
-    per_vertex_levels: Optional[dict[str, int]]
-
-
-def partial_isometry_report(v: SparseOp) -> PartialIsometryReport:
-    """Check V*V == (V*V)^2 exactly and decompose it into vertex slices."""
-    b = v.basis
-    k = v.adjoint() * v
-    if k * k != k:
-        return PartialIsometryReport(False, "V*V is not idempotent", k, None, None, None)
-    if k != k.adjoint():
-        return PartialIsometryReport(False, "V*V is not self-adjoint", k, None, None, None)
-    support = k.diagonal_01_support()
-    if support is None:
-        return PartialIsometryReport(
-            True, "initial projection is not 0/1 diagonal in the path basis", k, None, None, None
-        )
-    if not support:
-        return PartialIsometryReport(True, None, k, frozenset(), b.depth, {})
-    by_vertex: dict[str, list[int]] = {}
-    for i in support:
-        by_vertex.setdefault(b.paths[i].target, []).append(i)
-    class_counts: dict[str, dict[int, int]] = {}
-    for p in b.paths:
-        if p.target in by_vertex:
-            class_counts.setdefault(p.target, {})
-            class_counts[p.target][len(p)] = class_counts[p.target].get(len(p), 0) + 1
-    levels: dict[str, int] = {}
-    for x, ordinals in by_vertex.items():
-        m = max(len(b.paths[i]) for i in ordinals)
-        expected = sum(n for length, n in class_counts[x].items() if length <= m)
-        if expected != len(ordinals):
-            return PartialIsometryReport(
-                True,
-                f"support at vertex {x!r} is not an initial segment by length",
-                k,
-                None,
-                None,
-                None,
-            )
-        levels[x] = m
-    return PartialIsometryReport(
-        True, None, k, frozenset(levels), min(levels.values()), levels
-    )
+            terms.append((weight, left_map(b, w)))
+    return combine_runs(b, terms)
 
 
 def export_sparse(a: SparseOp) -> str:
     """Line-based export: header ``dim N basis-hash``, then sorted entries."""
     b = a.basis
     lines = [f"{b.dim} {b.depth} {b.basis_hash()}"]
+    text: dict[int, str] = {}  # each distinct entry object is formatted once
     for (r, c) in sorted(a.entries):
         v = a.entries[(r, c)]
-        lines.append(f"{r} {c} {v.numerator}/{v.denominator}")
+        if id(v) not in text:
+            text[id(v)] = f"{v.numerator}/{v.denominator}"
+        lines.append(f"{r} {c} {text[id(v)]}")
     return "\n".join(lines) + "\n"

@@ -24,10 +24,10 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .catalog import MAX_GRAPH_SIZE
-from .fock import FockBasis, SparseOp, build_basis, left_map, left_op
+from .fock import build_basis, left_map
 from .graphs import (
     Edge,
     Graph,
@@ -236,15 +236,6 @@ def agreement_run(
                 + ";".join(f"{e.name}:{e.src}->{e.dst}" for e in g.edges)
             )
     return AgreementReport(count, tuple(disagreements))
-
-
-def sum_left_ops(b: FockBasis, summands: Sequence[Summand]) -> SparseOp:
-    """The truncated matrix of sum_k L_{w_k} over the summand words, the
-    ``SparseOp`` reference for the partial maps of ``pairs.materialize``."""
-    out = SparseOp.zero(b)
-    for s in summands:
-        out = out + left_op(b, s.word)
-    return out
 
 
 @dataclass(frozen=True)

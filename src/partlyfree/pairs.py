@@ -464,8 +464,8 @@ def verify_pair(mat: MaterializedPair) -> VerificationReport:
       run, since ordinals grow with length.
 
     When f is not injective, the compressed domain and range are checked
-    for repeated rows on their own.  ``SparseOp`` products and
-    ``partial_isometry_report`` are the test reference.
+    for repeated rows on their own.  ``SparseOp`` products and the
+    ``partial_isometry_report`` of the tests are the reference.
     """
     b, level, initial_set = mat.basis, mat.level, mat.pair.initial_set
     unknown = initial_set - set(b.graph.vertices)

@@ -89,20 +89,6 @@ def compose(p: Path, q: Path) -> Optional[Path]:
     return Path(q.source, p.target, q.edges + p.edges)
 
 
-def is_left_divisor(p: Path, q: Path) -> bool:
-    """True iff ``q = p r`` for some path ``r`` (p is a left factor of q).
-
-    In traversal order this means ``p.edges`` is a suffix of ``q.edges``
-    with matching range; for units it degenerates to a range test.  This
-    is exactly the condition for ``L_p* L_q`` to be a nonzero operator.
-    """
-    if len(p) > len(q) or p.target != q.target:
-        return False
-    if p.is_unit:
-        return True
-    return q.edges[len(q) - len(p):] == p.edges
-
-
 def enumerate_paths(g: Graph, max_length: int) -> list[Path]:
     """All paths of length 0..max_length, ordered by (length, word, source).
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -15,25 +16,27 @@ from partlyfree import (
     enumerate_paths,
     export_sparse,
     fourier_coefficients,
-    interior_projection,
     left_op,
     length_projection,
     literal,
-    partial_isometry_report,
     path_from_literal,
     reconstruct,
     right_op,
-    source_projection,
-    sum_vertex_projection,
     unit,
     vertex_projection,
     word,
 )
 
-from partlyfree import catalog
+from partlyfree import catalog, fock
 from partlyfree.oracle import random_graph
 
 from conftest import cycle_graph
+from reference import (
+    interior_projection,
+    partial_isometry_report,
+    source_projection,
+    sum_vertex_projection,
+)
 
 
 # ---------------------------------------------------------------- basis
@@ -76,11 +79,16 @@ def _trie_graphs():
     return graphs + [Graph(("x", "y", "z"), ())]
 
 
+def _trie_literals(b) -> list[str]:
+    return [x.decode() for level in b.literal_levels() for x in level]
+
+
 @pytest.mark.parametrize("depth", range(6))
 def test_trie_matches_enumerated_paths(depth):
-    """Ordinals, ``paths`` and ``right_op`` of the trie against the sorted
-    enumeration of :func:`enumerate_paths` and ``paths.compose``; the
-    graphs include the edgeless one and digraph_T, whose levels die out."""
+    """Ordinals, ``paths``, ``path``, the literals and ``right_op`` of the
+    trie against the sorted enumeration of :func:`enumerate_paths`,
+    :func:`literal` and ``paths.compose``; the graphs include the edgeless
+    one and digraph_T, whose levels die out."""
     checked = 0
     for g in _trie_graphs():
         try:
@@ -90,6 +98,8 @@ def test_trie_matches_enumerated_paths(depth):
         checked += 1
         ref = enumerate_paths(g, depth)
         assert b.paths == tuple(ref)
+        assert [b.path(i) for i in range(b.dim)] == ref
+        assert _trie_literals(b) == [literal(p) for p in ref]
         index = {p: i for i, p in enumerate(ref)}
         assert [b.ordinal(p) for p in ref] == list(range(b.dim))
         for p in ref[b.offsets[depth]:]:
@@ -121,17 +131,61 @@ def test_trie_matches_enumerated_paths(depth):
 def test_trie_past_one_byte_vertex_ids():
     """A level is the join of its parents' head bytes; with more than 256
     vertices the ids take more than one byte, and the trie still gives
-    every enumerated path its ordinal, target and children."""
+    every enumerated path its ordinal, target, children, path and literal."""
     g = cycle_graph(300)
     b = build_basis(g, 3)
     ref = enumerate_paths(g, 3)
     assert b.dim == len(ref) == 1200
     assert [b.ordinal(p) for p in ref] == list(range(b.dim))
+    assert [b.path(i) for i in range(b.dim)] == ref
+    assert _trie_literals(b) == [literal(p) for p in ref]
     assert list(b.target) == [b.vertex_id[p.target] for p in ref]
     index = {p: i for i, p in enumerate(ref)}
     for i, p in enumerate(ref[: b.offsets[3]]):
         for e in g.out_edges(p.target):
             assert b.child(i, e.name) == index[Path(p.source, e.dst, p.edges + (e.name,))]
+
+
+def test_trie_levels_longer_than_a_chunk(monkeypatch):
+    """Levels whose parents span several chunks of ``build_basis``: the
+    arrays do not depend on the chunk size, and read back right."""
+    g = catalog.builtin("n_loops(3)").graph
+    b = build_basis(g, 8)
+    assert b.offsets[8] - b.offsets[7] > 2 * fock.CHUNK
+    for chunk in (1, 7, 3**8):  # 3**8: one chunk per level
+        monkeypatch.setattr(fock, "CHUNK", chunk)
+        other = build_basis(g, 8)
+        assert (other.offsets, other.target, other.first_child) == (b.offsets, b.target, b.first_child)
+    ref = enumerate_paths(g, 8)
+    assert [b.ordinal(p) for p in ref] == list(range(b.dim))
+    assert [b.path(i) for i in range(b.dim)] == ref
+    assert _trie_literals(b) == [literal(p) for p in ref]
+    index = {p: i for i, p in enumerate(ref)}
+    for i, p in enumerate(ref[b.offsets[1] : b.offsets[8]], start=b.offsets[1]):
+        e = g.out_edges(p.target)[0]
+        assert b.first_child[i] == index[Path(p.source, e.dst, p.edges + (e.name,))]
+
+
+def test_path_refuses_ordinals_outside_the_basis(graph_d):
+    b = build_basis(graph_d, 2)
+    for i in (-1, b.dim):
+        with pytest.raises(GraphError, match="not in the basis"):
+            b.path(i)
+
+
+def test_build_basis_peak_memory_is_bounded(two_loops):
+    """The arrays keep about 8.5 bytes per path; building them in chunks of
+    a level adds a bounded amount on top (it peaked at about 42 bytes per
+    path when a level's first children were one Python list)."""
+    tracemalloc.start()
+    try:
+        b = build_basis(two_loops, 18)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert b.dim == 2**19 - 1
+    assert kept / b.dim < 10
+    assert peak / b.dim < 12
 
 
 # ---------------------------------------------------------------- generators

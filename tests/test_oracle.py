@@ -16,11 +16,10 @@ from partlyfree.oracle import (
     random_graph,
     search_isometry_pairs,
     simple_cycles,
-    sum_left_ops,
 )
-from partlyfree.paths import is_left_divisor
 
 from conftest import cycle_graph
+from reference import is_left_divisor, sum_left_ops
 from test_paths import graphs
 
 

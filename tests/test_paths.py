@@ -9,7 +9,6 @@ from partlyfree import (
     GraphError,
     compose,
     enumerate_paths,
-    is_left_divisor,
     literal,
     path_from_literal,
     unit,
@@ -18,6 +17,7 @@ from partlyfree import (
 from partlyfree.paths import Path
 
 from conftest import cycle_graph
+from reference import is_left_divisor
 
 
 @st.composite

@@ -23,9 +23,10 @@ from partlyfree import (
 )
 from partlyfree.catalog import builtin
 from partlyfree import catalog
-from partlyfree.oracle import first_return_cycles, sum_left_ops
+from partlyfree.oracle import first_return_cycles
 
 from conftest import partial_map
+from reference import sum_left_ops
 from test_paths import graph_and_walk, graphs
 
 
@@ -160,8 +161,8 @@ def test_left_ops_multiply_like_words_exhaustively(graph_d):
 def _reference_checks(u, v, initial_set, level, u_levels, v_levels, range_set):
     """The identities verify_pair decides, computed instead with SparseOp
     products, compressions, diagonal supports and partial_isometry_report."""
-    from partlyfree import SparseOp, length_projection, partial_isometry_report
-    from partlyfree import sum_vertex_projection
+    from partlyfree import SparseOp, length_projection
+    from reference import partial_isometry_report, sum_vertex_projection
 
     b = u.basis
     em = length_projection(b, level)
