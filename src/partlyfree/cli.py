@@ -177,7 +177,8 @@ def _cmd_construct(args) -> int:
         print(f"{source.label} has no finite window", file=sys.stderr)
         return USAGE_ERROR
     pair = construct_pair(source.graph, args.mode)
-    print(json.dumps(pair.to_json(), indent=2, sort_keys=True))
+    sys.stdout.writelines(pair.iter_json())
+    print()
     return 0
 
 
@@ -346,9 +347,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_op_value(argv: list[str]) -> list[str]:
+    """``--op VALUE`` as ``--op=VALUE`` when VALUE starts with a negative
+    leading coefficient, which argparse would take for an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--op" and re.match(r"-\d", arg):
+            out[-1] = "--op=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_op_value(sys.argv[1:] if argv is None else argv))
     if args.command == "catalog" and args.action == "check" and args.name is None:
         print("catalog check needs an entry name", file=sys.stderr)
         return USAGE_ERROR

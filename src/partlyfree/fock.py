@@ -81,15 +81,8 @@ class FockBasis:
     first_child: array = field(repr=False)
 
     def __post_init__(self):
-        self.vertex_id = {v: i for i, v in enumerate(self.vertices)}
-        # edge name -> (source id, rank among the source's out-edges,
-        # ordinal of the one-edge path)
-        rank = {e.name: r for v in self.vertices for r, e in enumerate(self.graph.out_edges(v))}
-        self._edges = sorted(self.graph.edges)
-        self._edge = {
-            e.name: (self.vertex_id[e.src], rank[e.name], self.offsets[1] + k)
-            for k, e in enumerate(self._edges)
-        }
+        # vertex and edge ids are those of the graph's index
+        self.vertex_id = self.graph.vid
 
     @property
     def dim(self) -> int:
@@ -109,17 +102,22 @@ class FockBasis:
     def child(self, i: int, e: str) -> int:
         """Ordinal of path i followed by edge e; e must start at the range
         of path i, which must be shorter than the depth."""
-        _, rank, one_edge = self._edge[e]
-        return one_edge if i < self.offsets[1] else self.first_child[i] + rank
+        g = self.graph
+        k = g.eid[e]
+        return self.offsets[1] + k if i < self.offsets[1] else self.first_child[i] + g.edge_rank[k]
 
     def ordinal(self, p: Path) -> int:
+        g = self.graph
         i = self.vertex_id.get(p.source)
         if i is not None and len(p) <= self.depth:
+            eid, src, rank = g.eid, g.edge_src, g.edge_rank
+            one, first_child, target = self.offsets[1], self.first_child, self.target
             for e in p.edges:
-                step = self._edge.get(e)
-                if step is None or step[0] != self.target[i]:
+                k = eid.get(e)
+                if k is None or src[k] != target[i]:
                     break
-                i = self.child(i, e)
+                # self.child(i, e), inlined in this hot loop
+                i = one + k if i < one else first_child[i] + rank[k]
             else:
                 if self.vertices[self.target[i]] == p.target:
                     return i
@@ -137,13 +135,14 @@ class FockBasis:
         end = self.vertices[self.target[i]]
         if k == 0:
             return Path(end, end, ())
+        g = self.graph
         edges = []
         for k in range(k, 1, -1):
             j = bisect_right(self.first_child, i, self.offsets[k - 1], self.offsets[k]) - 1
-            out = self.graph.out_edges(self.vertices[self.target[j]])
-            edges.append(out[i - self.first_child[j]].name)
+            e = g.out_edge[g.out_start[self.target[j]] + i - self.first_child[j]]
+            edges.append(g.edge_by_id[e].name)
             i = j
-        first = self._edges[i - self.offsets[1]]
+        first = g.edge_by_id[i - self.offsets[1]]
         edges.append(first.name)
         return Path(first.src, end, tuple(reversed(edges)))
 
@@ -159,7 +158,7 @@ class FockBasis:
             if hi == self.offsets[k + 1]:
                 return
             if k == 1:
-                level = [e.name.encode() for e in self._edges]
+                level = [e.name.encode() for e in self.graph.edge_by_id]
             else:
                 level = [
                     step + parent
@@ -207,17 +206,16 @@ def build_basis(g: Graph, depth: int, cap: int = DEFAULT_BASIS_CAP) -> FockBasis
                 "lower the depth or raise the cap"
             )
 
-    vertices = tuple(sorted(g.vertices))
-    vid = {v: i for i, v in enumerate(vertices)}
-    heads = [array("i", [vid[e.dst] for e in g.out_edges(v)]).tobytes() for v in vertices]
-    degree = [len(g.out_edges(v)) for v in vertices]
+    vertices, start = g.vertex_name, g.out_start
+    heads = [array("i", g.out_head[start[v] : start[v + 1]]).tobytes() for v in range(len(vertices))]
+    degree = [b - a for a, b in zip(start, start[1:])]
     check(len(vertices))
     target = array("i", range(len(vertices)))
     first_child = array("q", [0]) * len(vertices)
     offsets = [0, len(target)]
     if depth >= 1 and g.edges:
         check(len(target) + len(g.edges))
-        target.extend([vid[e.dst] for e in sorted(g.edges)])
+        target.extend(g.edge_dst)
         offsets.append(len(target))
         for _ in range(2, depth + 1):
             lo, hi = offsets[-2], offsets[-1]
@@ -394,9 +392,11 @@ def left_runs(b: FockBasis, words: Sequence[Path]) -> list[tuple[list[int], list
     s = b.vertex_id[fits[0].source]
     target, first_child = b.target, b.first_child
 
+    eid, edge_rank = b.graph.eid, b.graph.edge_rank
+
     def steps(rows: list[int], edges: tuple[str, ...]) -> list[int]:
         for e in edges:
-            rank = b._edge[e][1]
+            rank = edge_rank[eid[e]]
             rows = [first_child[i] + rank for i in rows]
         return rows
 
@@ -434,14 +434,25 @@ def right_map(b: FockBasis, w: Path) -> tuple[list[int], list[int]]:
     _check_path(b.graph, w)
     if len(w) > b.depth:
         return [], []
-    out_edges = [b.graph.out_edges(v) for v in b.vertices]
+    g = b.graph
+    start, out_edge = g.out_start, g.out_edge
+    one, first_child, target = b.offsets[1], b.first_child, b.target
+
     rows = {b.vertex_id[w.target]: b.ordinal(w)}
-    # the parents: columns whose children v still have |vw| <= N
+    # the parents: columns whose children v still have |vw| <= N.  A column
+    # and its image end at the same vertex t; their children along the
+    # out-edge at position p of t (b.child, inlined) are the one-edge path
+    # out_edge[p] for a unit, else first_child + p - start[t]
     for i in range(b.upto(b.depth - len(w) - 1)):
         image = rows.get(i)
         if image is not None:
-            for e in out_edges[b.target[i]]:
-                rows[b.child(i, e.name)] = b.child(image, e.name)
+            t = target[i]
+            lo = start[t]
+            c, r = first_child[i] - lo, first_child[image] - lo
+            for p in range(lo, start[t + 1]):
+                rows[one + out_edge[p] if i < one else c + p] = (
+                    one + out_edge[p] if image < one else r + p
+                )
     return list(rows), list(rows.values())
 
 

@@ -22,13 +22,25 @@ of a graph is partly free iff the graph has the aperiodic path property
 (unitally iff uniformly), and the norm-closed quiver algebra is partly
 free iff the graph has a double-cycle (unitally iff additionally the
 vertex set is finite and the property is uniform).
+
+Every graph carries one integer index (see :class:`Graph`), built in the
+pass that validates it.  Vertex ids follow sorted vertex-name order and
+edge ids sorted edge-name order, so the least vertex of a set is its
+least id, and shortlex order on edge-name words is shortlex order on
+edge-id words.  The components, the witness search, the reachability
+passes, the pair construction of :mod:`pairs` and Johnson's cycle oracle
+in :mod:`oracle` run on ids, and turn ids back into names only at their
+public boundary.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import AbstractSet, Callable, NamedTuple, Optional, Union
+from functools import cached_property
+from itertools import accumulate
+from operator import itemgetter
+from typing import AbstractSet, Callable, Iterable, NamedTuple, Optional, Union
 
 
 class GraphError(ValueError):
@@ -44,6 +56,41 @@ class Edge(NamedTuple):
 _NAME_RE = re.compile(r"^[A-Za-z0-9_]+$")
 
 
+def _fault(vertices: tuple[str, ...], edges: tuple[Edge, ...]) -> str:
+    """The first structural fault, in the order of the checks: each vertex
+    in declaration order (name, then duplicate), then each edge in
+    declaration order (name, duplicate, endpoints).  Only called on a
+    graph that has one."""
+    seen = set()
+    for v in vertices:
+        if not _NAME_RE.match(v):
+            return f"invalid vertex name {v!r}"
+        if v in seen:
+            return f"duplicate vertex {v!r}"
+        seen.add(v)
+    names = set()
+    for e in edges:
+        if not _NAME_RE.match(e.name):
+            return f"invalid edge name {e.name!r}"
+        if e.name in names:
+            return f"duplicate edge {e.name!r}"
+        if e.src not in seen or e.dst not in seen:
+            return f"edge {e.name!r} has undeclared endpoint"
+        names.add(e.name)
+    raise AssertionError("the graph has no structural fault")
+
+
+def _rows(key: list[int], ids: list[int], n: int) -> tuple[list[int], list[int]]:
+    """Compressed rows: the edge ids grouped by ``key`` (a vertex id per
+    edge id, ``ids`` the ids), ascending within a group, and the start of
+    each of the ``n`` groups, with the end of the last one appended."""
+    order = sorted(ids[: len(key)], key=key.__getitem__)
+    start = [0] * (n + 1)
+    for v in key:
+        start[v + 1] += 1
+    return order, list(accumulate(start))
+
+
 @dataclass
 class Graph:
     """Finite directed multigraph with named vertices and edges.
@@ -51,66 +98,116 @@ class Graph:
     ``family`` optionally records that the graph was materialized as the
     finite window of a built-in countable family, as ``(family_name, K)``.
     Instances are immutable after construction and safe to share between
-    threads.
+    threads; ``components`` and ``edge_rank`` are filled on first read, and
+    two threads that read one at once may each build it, with equal
+    results.  Their lists are shared, so callers must not change them.
+
+    The integer index, built and checked in one pass by the constructor:
+
+    * ``vertex_name``: the vertex names in sorted order; a vertex id is a
+      position in it, and ``vid`` maps a name back to its id;
+    * ``roots``: the vertex ids in declaration order;
+    * ``edge_by_id``: the edges in sorted name order; an edge id is a
+      position in it, and ``eid`` maps a name back to its id;
+    * ``edge_src`` and ``edge_dst``: the vertex ids of each edge's ends;
+    * ``out_start``, ``out_edge`` and ``out_head``: the out-edges of
+      vertex v are the edge ids ``out_edge[out_start[v]:out_start[v + 1]]``,
+      ascending, that is in name order, with their ranges at the same
+      positions of ``out_head``;
+    * ``in_start``, ``in_edge`` and ``in_tail``: likewise the in-edges,
+      with their sources;
+    * ``edge_rank``: the rank of each edge among the out-edges of its
+      source, built on first read (by the Fock basis);
+    * ``components``: the strongly connected components, found on first
+      read.
+
+    The id lists take an 8-byte slot per entry: three per vertex and six
+    per edge, and one more of each kind once ``components`` and
+    ``edge_rank`` are read; the ids are int objects shared by all of them.
+    With the two name maps and the two sorted tuples, a cycle of 100,000
+    vertices keeps 261 bytes per vertex and edge on top of its names and
+    ``Edge`` tuples, and peaks at 352 while the index is built, against
+    333 and 642 for the name-keyed sets, dicts and sorted ``Edge`` tuples
+    that the index replaced (tracemalloc, Python 3.11).
     """
 
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
     family: Optional[tuple[str, int]] = None
-    _vertex_set: frozenset = field(init=False, repr=False, compare=False, default=frozenset())
-    _edge_by_name: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-    _out: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-    _in: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         self.vertices = tuple(self.vertices)
-        self.edges = tuple(Edge(*e) for e in self.edges)
-        seen = set()
-        for v in self.vertices:
-            if not _NAME_RE.match(v):
-                raise GraphError(f"invalid vertex name {v!r}")
-            if v in seen:
-                raise GraphError(f"duplicate vertex {v!r}")
-            seen.add(v)
-        self._vertex_set = frozenset(self.vertices)
-        out = {v: [] for v in self.vertices}
-        inc = {v: [] for v in self.vertices}
-        by_name = {}
-        for e in self.edges:
-            if not _NAME_RE.match(e.name):
-                raise GraphError(f"invalid edge name {e.name!r}")
-            if e.name in by_name:
-                raise GraphError(f"duplicate edge {e.name!r}")
-            if e.src not in self._vertex_set or e.dst not in self._vertex_set:
-                raise GraphError(f"edge {e.name!r} has undeclared endpoint")
-            by_name[e.name] = e
-            out[e.src].append(e)
-            inc[e.dst].append(e)
-        self._edge_by_name = by_name
-        # sorted adjacency gives deterministic search and witness order
-        self._out = {v: tuple(sorted(es)) for v, es in out.items()}
-        self._in = {v: tuple(sorted(es)) for v, es in inc.items()}
+        self.edges = tuple(self.edges)
+        if not {Edge}.issuperset(map(type, self.edges)):
+            self.edges = tuple(Edge(*e) for e in self.edges)
+        vertices, edges = self.vertices, self.edges
+        if not all(map(_NAME_RE.match, vertices)):
+            raise GraphError(_fault(vertices, edges))
+        n, m = len(vertices), len(edges)
+        ids = list(range(max(n, m)))
+        self.vertex_name = tuple(sorted(vertices))
+        self.vid = vid = dict(zip(self.vertex_name, ids))
+        self.edge_by_id = by_id = tuple(sorted(edges, key=itemgetter(0)))
+        names = [e[0] for e in by_id]
+        self.eid = dict(zip(names, ids))
+        try:
+            if len(vid) < n or len(self.eid) < m or not all(map(_NAME_RE.match, names)):
+                raise KeyError
+            self.edge_src = src = [vid[e[1]] for e in by_id]
+            self.edge_dst = dst = [vid[e[2]] for e in by_id]
+        except KeyError:
+            raise GraphError(_fault(vertices, edges)) from None
+        self.roots = [vid[v] for v in vertices]
+        self.out_edge, self.out_start = _rows(src, ids, n)
+        self.out_head = [dst[e] for e in self.out_edge]
+        self.in_edge, self.in_start = _rows(dst, ids, n)
+        self.in_tail = [src[e] for e in self.in_edge]
+
+    @cached_property
+    def components(self) -> list[list[int]]:
+        """The strongly connected components, as lists of vertex ids, found on
+        first read (:func:`_components`, searches started in declaration
+        order) and shared by the witness search and the cycle oracle."""
+        return _components(self, self.roots)
+
+    @cached_property
+    def edge_rank(self) -> list[int]:
+        rank = [0] * len(self.edges)
+        start, src = self.out_start, self.edge_src
+        for p, e in enumerate(self.out_edge):
+            rank[e] = p - start[src[e]]
+        return rank
 
     def has_vertex(self, v: str) -> bool:
-        return v in self._vertex_set
+        return v in self.vid
 
     def edge(self, name: str) -> Edge:
         try:
-            return self._edge_by_name[name]
+            return self.edge_by_id[self.eid[name]]
         except KeyError:
             raise GraphError(f"unknown edge {name!r}") from None
 
-    def out_edges(self, v: str) -> tuple[Edge, ...]:
+    def _adjacent(self, v: str, start: list[int], ids: list[int]) -> tuple[Edge, ...]:
         try:
-            return self._out[v]
+            i = self.vid[v]
         except KeyError:
             raise GraphError(f"unknown vertex {v!r}") from None
+        return tuple(map(self.edge_by_id.__getitem__, ids[start[i] : start[i + 1]]))
+
+    def out_edges(self, v: str) -> tuple[Edge, ...]:
+        """The edges with source ``v``, in name order."""
+        return self._adjacent(v, self.out_start, self.out_edge)
 
     def in_edges(self, v: str) -> tuple[Edge, ...]:
-        try:
-            return self._in[v]
-        except KeyError:
-            raise GraphError(f"unknown vertex {v!r}") from None
+        """The edges with range ``v``, in name order."""
+        return self._adjacent(v, self.in_start, self.in_edge)
+
+
+def _first_invalid_vertex(declared: dict[str, int]) -> Optional[GraphError]:
+    for name, lineno in declared.items():
+        if not _NAME_RE.match(name):
+            return GraphError(f"line {lineno}: invalid vertex name {name!r}")
+    return None
 
 
 def parse_graph(text: str) -> Graph:
@@ -119,37 +216,41 @@ def parse_graph(text: str) -> Graph:
     ``#`` starts a comment, ``vertex NAME`` declares a vertex and
     ``edge NAME SRC DST`` declares an edge with source ``SRC`` and range
     ``DST``.  Declaration order is preserved.  Errors carry the offending
-    line number.
+    line number, except a bad or repeated edge name, which is reported
+    (the first one, without a line number) once every line has parsed.
+
+    Each name is checked once: the vertex names at the first bad line, so
+    that the error named is always that of the first bad line, or else by
+    :class:`Graph` with the edge names as it builds the index.
     """
-    vertices: list[str] = []
-    edges: list[Edge] = []
-    declared = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "vertex" and len(parts) == 2:
-            name = parts[1]
-            if not _NAME_RE.match(name):
-                raise GraphError(f"line {lineno}: invalid vertex name {name!r}")
-            if name in declared:
-                raise GraphError(f"line {lineno}: duplicate vertex {name!r}")
-            declared.add(name)
-            vertices.append(name)
-        elif parts[0] == "edge" and len(parts) == 4:
-            name, src, dst = parts[1:]
-            if src not in declared:
-                raise GraphError(f"line {lineno}: undeclared endpoint {src!r}")
-            if dst not in declared:
-                raise GraphError(f"line {lineno}: undeclared endpoint {dst!r}")
-            edges.append(Edge(name, src, dst))
-        else:
-            raise GraphError(f"line {lineno}: malformed line {raw.strip()!r}")
+    declared: dict[str, int] = {}  # vertex name -> line number
+    rows: list[list[str]] = []
+
+    def bad_line(lineno: int, message: str) -> GraphError:
+        return _first_invalid_vertex(declared) or GraphError(f"line {lineno}: {message}")
+
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [raw.split("#", 1)[0] for raw in lines]
+    for lineno, parts in enumerate(map(str.split, lines), start=1):
+        if len(parts) == 4 and parts[0] == "edge":
+            if parts[2] in declared and parts[3] in declared:
+                rows.append(parts[1:])
+                continue
+            end = parts[3] if parts[2] in declared else parts[2]
+            raise bad_line(lineno, f"undeclared endpoint {end!r}")
+        if len(parts) == 2 and parts[0] == "vertex":
+            if parts[1] not in declared:
+                declared[parts[1]] = lineno
+                continue
+            raise bad_line(lineno, f"duplicate vertex {parts[1]!r}")
+        if parts:
+            raw = text.splitlines()[lineno - 1]
+            raise bad_line(lineno, f"malformed line {raw.strip()!r}")
     try:
-        return Graph(tuple(vertices), tuple(edges))
+        return Graph(tuple(declared), tuple(map(Edge._make, rows)))
     except GraphError as exc:
-        raise GraphError(str(exc)) from None
+        raise _first_invalid_vertex(declared) or exc from None
 
 
 def render_graph(g: Graph) -> str:
@@ -182,91 +283,129 @@ def saturation_vertices(g: Graph, x: str) -> frozenset[str]:
     """
     if not g.has_vertex(x):
         raise GraphError(f"unknown vertex {x!r}")
-    return _reached_from(g, {x})
+    return frozenset(map(g.vertex_name.__getitem__, _reached_from(g, (g.vid[x],))))
 
 
-def _reached_from(g: Graph, sources: AbstractSet[str]) -> frozenset[str]:
-    """Vertices reachable from some vertex of ``sources``, sources included."""
-    seen = set(sources)
-    frontier = list(sources)
+def _search(start: list[int], step: list[int], sources: Iterable[int]) -> list[int]:
+    """The vertex ids reachable from ``sources`` along the compressed rows
+    ``start``, ``step``, sources first, each once."""
+    seen = bytearray(len(start) - 1)
+    found = list(dict.fromkeys(sources))
+    for v in found:
+        seen[v] = 1
+    frontier = list(found)
     while frontier:
         v = frontier.pop()
-        for e in g.out_edges(v):
-            if e.dst not in seen:
-                seen.add(e.dst)
-                frontier.append(e.dst)
-    return frozenset(seen)
+        for w in step[start[v] : start[v + 1]]:
+            if not seen[w]:
+                seen[w] = 1
+                found.append(w)
+                frontier.append(w)
+    return found
 
 
-def _reaches(g: Graph, targets: frozenset[str]) -> frozenset[str]:
-    """Vertices from which some vertex of ``targets`` is reachable."""
-    seen = set(targets)
-    frontier = list(targets)
-    while frontier:
-        v = frontier.pop()
-        for e in g.in_edges(v):
-            if e.src not in seen:
-                seen.add(e.src)
-                frontier.append(e.src)
-    return frozenset(seen)
+def _reached_from(g: Graph, sources: Iterable[int]) -> list[int]:
+    """Vertex ids reachable from some id of ``sources``, sources included."""
+    return _search(g.out_start, g.out_head, sources)
+
+
+def _reaches(g: Graph, targets: Iterable[int]) -> list[int]:
+    """Vertex ids from which some id of ``targets`` is reachable."""
+    return _search(g.in_start, g.in_tail, targets)
+
+
+def _components(
+    g: Graph,
+    roots: Iterable[int],
+    num: Optional[list[int]] = None,
+    scratch: Optional[tuple[list[int], list[int]]] = None,
+) -> list[list[int]]:
+    """Tarjan's algorithm on vertex ids, iterative so deep graphs cannot
+    overflow the stack.
+
+    The components of the subgraph induced on the ids v with ``num[v]``
+    zero (all ids when ``num`` is None), each listed in the order its ids
+    leave the stack, with the depth-first searches started at ``roots`` in
+    order and the out-edges taken in name order.  ``num[v]`` becomes the
+    visit number of v, and once v's component is found it is set to
+    ``len(num) + 1``, above every visit number.  The other entries must
+    hold that value already: to the search, a vertex outside the subgraph
+    looks like one whose component is found.  So the low-link minimum
+    skips both without an on-stack set or a membership test.  The low
+    link and the next out-edge position of a vertex are set when it is
+    visited, in the two lists of ``scratch``, one entry per vertex; a
+    caller that splits many subgraphs passes one ``num`` and one
+    ``scratch`` to every search, and pays for each only the size of its
+    subgraph.
+    """
+    start, head = g.out_start, g.out_head
+    n = len(g.vertex_name)
+    if num is None:
+        num = [0] * n
+    low, position = scratch or ([0] * n, [0] * n)
+    done = n + 1
+    stack: list[int] = []
+    components: list[list[int]] = []
+    counter = 0
+    for root in roots:
+        if num[root]:
+            continue
+        counter += 1
+        num[root] = low[root] = counter
+        position[root] = start[root]
+        calls = [root]
+        stack.append(root)
+        while calls:
+            v = calls[-1]
+            p, end, lv = position[v], start[v + 1], low[v]
+            while p < end:
+                w = head[p]
+                p += 1
+                k = num[w]
+                if not k:
+                    position[v], low[v] = p, lv
+                    counter += 1
+                    num[w] = low[w] = counter
+                    position[w] = start[w]
+                    calls.append(w)
+                    stack.append(w)
+                    break
+                if k < lv:
+                    lv = k
+            else:
+                calls.pop()
+                if lv == num[v]:
+                    w = stack.pop()
+                    num[w] = done
+                    comp = [w]
+                    while w != v:
+                        w = stack.pop()
+                        num[w] = done
+                        comp.append(w)
+                    components.append(comp)
+                elif lv < low[calls[-1]]:
+                    low[calls[-1]] = lv
+    return components
 
 
 def strongly_connected_components(
     g: Graph, within: Optional[AbstractSet[str]] = None
 ) -> list[tuple[str, ...]]:
-    """Tarjan's algorithm, iterative so deep graphs cannot overflow the stack.
+    """Tarjan's algorithm, iterative so deep graphs cannot overflow the stack
+    (:func:`_components`), with the searches started in vertex declaration
+    order.
 
     With ``within``, the components of the subgraph induced on that vertex set.
     """
-    members = g._vertex_set if within is None else within
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    components: list[tuple[str, ...]] = []
-    counter = 0
-
-    for root in g.vertices:
-        if root in index or root not in members:
-            continue
-        work = [(root, iter(g.out_edges(root)))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, edge_iter = work[-1]
-            advanced = False
-            for e in edge_iter:
-                w = e.dst
-                if w not in members:
-                    continue
-                if w not in index:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(g.out_edges(w))))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                u = work[-1][0]
-                low[u] = min(low[u], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                components.append(tuple(comp))
-    return components
+    num = None
+    if within is not None:
+        num = [len(g.vertex_name) + 1] * len(g.vertex_name)
+        for v in within:
+            if v in g.vid:
+                num[g.vid[v]] = 0
+    names = g.vertex_name.__getitem__
+    comps = g.components if num is None else _components(g, g.roots, num)
+    return [tuple(map(names, comp)) for comp in comps]
 
 
 @dataclass(frozen=True)
@@ -341,8 +480,9 @@ class InfinitePathCertificate:
 AperiodicWitness = Union[DoubleCycleWitness, InfinitePathCertificate]
 
 
-def _component_shape(g: Graph, comp: tuple[str, ...]) -> str:
-    """Classify an SCC as 'trivial', 'simple-cycle' or 'branching'.
+def _component_shape(g: Graph, comp: list[int], label: list[int]) -> str:
+    """Classify an SCC as 'trivial', 'simple-cycle' or 'branching'; its ids
+    are the ``v`` with ``label[v] == label[comp[0]]``.
 
     A strongly connected component admits a double-cycle exactly when it
     is neither a lone vertex without a loop nor a simple directed cycle
@@ -354,21 +494,28 @@ def _component_shape(g: Graph, comp: tuple[str, ...]) -> str:
     first-return cycles at x of length <= 2|comp| - 1; so the two
     shortlex-least ones are that short too.
     """
-    members = set(comp)
-    internal = [e for v in comp for e in g.out_edges(v) if e.dst in members]
+    c = label[comp[0]]
+    start, head = g.out_start, g.out_head
+    internal = most = 0
+    for v in comp:
+        degree = 0
+        for w in head[start[v] : start[v + 1]]:
+            if label[w] == c:
+                degree += 1
+        internal += degree
+        most = max(most, degree)
     if not internal:
         return "trivial"
-    degrees = {v: 0 for v in comp}
-    for e in internal:
-        degrees[e.src] += 1
-    if len(internal) == len(comp) and all(d == 1 for d in degrees.values()):
+    # |comp| internal edges, none of them a second one out of a vertex
+    if internal == len(comp) and most == 1:
         return "simple-cycle"
     return "branching"
 
 
-def _shortlex_cycles(g: Graph, comp: tuple[str, ...], base: str) -> list[tuple[str, ...]]:
+def _shortlex_cycles(g: Graph, comp: list[int], label: list[int], base: int) -> list[tuple[str, ...]]:
     """The two shortlex-least first-return cycle words at ``base`` among
-    those of length <= 2|comp| (fewer if there are fewer).
+    those of length <= 2|comp| (fewer if there are fewer), as edge names;
+    the component is labelled as in :func:`_component_shape`.
 
     ``ways[l]`` maps each vertex v of ``comp`` other than ``base`` to the
     number, capped at 2, of walks of length l from v to ``base`` inside
@@ -379,36 +526,41 @@ def _shortlex_cycles(g: Graph, comp: tuple[str, ...], base: str) -> list[tuple[s
     first-return cycles of that length, counted in ``cycles[l]``.  Levels
     stop once two cycles are known.  Rank 0 or 1 among the cycles of one
     length is then unranked greedily, taking the out-edges of each vertex
-    in name order: the cap cannot mislead this, because a capped count is
-    never subtracted from a rank below 2.  A level costs the in-degrees of
-    the vertices it holds, at most |E_comp|, so the search costs
-    O(|comp| |E_comp|), and about |comp| + |E_comp| on a sparse component
-    whose levels hold few vertices.
+    in name order, which is id order: the cap cannot mislead this, because
+    a capped count is never subtracted from a rank below 2.  A level costs
+    the in-degrees of the vertices it holds, at most |E_comp|, so the
+    search costs O(|comp| |E_comp|), and about |comp| + |E_comp| on a
+    sparse component whose levels hold few vertices.
     """
-    members = set(comp)
-    ways: list[dict[str, int]] = [{base: 1}]
+    c = label[base]
+    in_start, tail = g.in_start, g.in_tail
+    ways: list[dict[int, int]] = [{base: 1}]
     cycles = [0]
     found = 0
     while found < 2 and len(cycles) <= 2 * len(comp):
-        level: dict[str, int] = {}
+        level: dict[int, int] = {}
         for v, count in ways[-1].items():
-            for e in g.in_edges(v):
-                if e.src in members:
-                    level[e.src] = min(2, level.get(e.src, 0) + count)
+            for u in tail[in_start[v] : in_start[v + 1]]:
+                if label[u] == c:
+                    total = level.get(u, 0) + count
+                    level[u] = total if total < 2 else 2
         cycles.append(level.pop(base, 0))
         found += cycles[-1]
         ways.append(level)
 
+    start, out_edge, head, by_id = g.out_start, g.out_edge, g.out_head, g.edge_by_id
+
     def unrank(length: int, k: int) -> tuple[str, ...]:
         at, word = base, []
         for left in range(length - 1, -1, -1):
-            for e in g.out_edges(at):
-                count = ways[left].get(e.dst, 0)
+            level = ways[left]
+            for p in range(start[at], start[at + 1]):
+                count = level.get(head[p], 0)
                 if k < count:
                     break
                 k -= count
-            word.append(e.name)
-            at = e.dst
+            word.append(by_id[out_edge[p]].name)
+            at = head[p]
         return tuple(word)
 
     words: list[tuple[str, ...]] = []
@@ -421,26 +573,40 @@ def double_cycle_witnesses(g: Graph) -> list[DoubleCycleWitness]:
     """One double-cycle witness per branching SCC, ordered by base vertex.
 
     Empty iff the graph has no double-cycle.  The base is the least vertex
-    of its component (vertex names compared as plain strings), and the two
-    cycle words are the shortlex-least first-return cycles there: shortest
-    first, and among equal lengths lexicographic on the traversal-order
-    word, edge names compared as plain strings.  Both have length
-    < 2|comp| (see :func:`_component_shape`), and the search is polynomial:
-    O(|V| + |E|) for the components plus O(|comp| |E_comp|) per branching
-    component (:func:`_shortlex_cycles`).
+    of its component (vertex names compared as plain strings, which is
+    the least id), and the two cycle words are the shortlex-least
+    first-return cycles there: shortest first, and among equal lengths
+    lexicographic on the traversal-order word, edge names compared as
+    plain strings.  Both have length < 2|comp| (see
+    :func:`_component_shape`), and the search is polynomial: O(|V| + |E|)
+    for the components plus O(|comp| |E_comp|) per branching component
+    (:func:`_shortlex_cycles`).
     """
-    witnesses = []
-    for comp in strongly_connected_components(g):
-        if _component_shape(g, comp) != "branching":
+    start, head = g.out_start, g.out_head
+    # label[v] == c marks the vertices of the c-th component, once it is examined
+    label = [-1] * len(g.vertex_name)
+    found = []
+    for c, comp in enumerate(g.components):
+        if len(comp) == 1:
+            v = comp[0]
+            if head[start[v] : start[v + 1]].count(v) < 2:
+                continue  # a lone vertex with fewer than two loops
+        for v in comp:
+            label[v] = c
+        if len(comp) > 1 and _component_shape(g, comp, label) != "branching":
             continue
         base = min(comp)
-        words = _shortlex_cycles(g, comp, base)
+        words = _shortlex_cycles(g, comp, label, base)
         if len(words) < 2:  # cannot happen for a branching SCC; guard anyway
-            raise GraphError(f"component at {base!r} branches but yielded {len(words)} cycles")
-        witnesses.append(
-            DoubleCycleWitness(base, CycleWitness(base, words[0]), CycleWitness(base, words[1]))
-        )
-    return sorted(witnesses, key=lambda w: w.base)
+            raise GraphError(
+                f"component at {g.vertex_name[base]!r} branches but yielded {len(words)} cycles"
+            )
+        found.append((base, words))
+    witnesses = []
+    for base, (w1, w2) in sorted(found):
+        x = g.vertex_name[base]
+        witnesses.append(DoubleCycleWitness(x, CycleWitness(x, w1), CycleWitness(x, w2)))
+    return witnesses
 
 
 @dataclass(frozen=True)
@@ -506,7 +672,7 @@ def classify_finite(g: Graph) -> PropertyReport:
     # one witness per branching component, so reaching the bases is reaching
     # every branching vertex; the transpose has the same components with the
     # same shapes, so its uniform property reads off the same bases
-    bases = frozenset(w.base for w in witnesses)
+    bases = [g.vid[w.base] for w in witnesses]
     uniform_dc = has_dc and len(_reaches(g, bases)) == len(g.vertices)
     transpose_uniform = has_dc and len(_reached_from(g, bases)) == len(g.vertices)
     warnings = ()

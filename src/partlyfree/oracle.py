@@ -1,6 +1,6 @@
 """Independent brute-force cross-checks for the decision procedures.
 
-Three oracles live here, each deciding by a route unrelated to the
+Two oracles live here, each deciding by a route unrelated to the
 decision path:
 
 * a simple-cycle enumerator: the double-cycle decision is re-derived as
@@ -8,9 +8,6 @@ decision path:
   cycles rotate to two distinct first-return cycles at a shared vertex,
   and conversely a strongly connected component that is not a simple
   cycle always contains such a pair, so the two decisions must agree.
-* a bounded enumeration of first-return cycles in lexicographic order:
-  sorted shortlex, its first two words are the witness words of the
-  polynomial search.
 * a bounded exhaustive search for isometry pairs over cycle graphs: the
   cycle algebras contain no pair satisfying the partly-free identities,
   and the search confirms that no small sum of L_w's fakes one on the
@@ -28,15 +25,7 @@ from typing import Optional
 
 from .catalog import MAX_GRAPH_SIZE
 from .fock import build_basis, left_map
-from .graphs import (
-    Edge,
-    Graph,
-    GraphError,
-    double_cycle_witnesses,
-    saturation_vertices,
-    strongly_connected_components,
-    transpose,
-)
+from .graphs import Edge, Graph, GraphError, _components, double_cycle_witnesses
 from .pairs import Summand
 from .paths import Path, enumerate_paths
 
@@ -52,88 +41,66 @@ CYCLE_SEARCH_BUDGET = 2_000_000
 GRAPH_FIXED_COST = 4
 
 
-def first_return_cycles(
-    g: Graph, base: str, max_length: int, limit: Optional[int] = None
-) -> list[tuple[str, ...]]:
-    """First-return cycle words at ``base``, in lexicographic order.
-
-    Only words of length <= ``max_length`` are produced; with ``limit``
-    the search stops after that many cycles.  Edge names are compared as
-    plain strings.  This bounded depth-first enumeration is exponential in
-    ``max_length``; it is the brute-force reference for the polynomial
-    shortlex search of :func:`graphs.double_cycle_witnesses`.
-    """
-    if not g.has_vertex(base):
-        raise GraphError(f"unknown vertex {base!r}")
-    reach_base = saturation_vertices(transpose(g), base)
-    results: list[tuple[str, ...]] = []
-    # iterative depth-first search in sorted edge order; the explicit
-    # stack keeps long cycles from exhausting the interpreter stack
-    word: list[str] = []
-    stack = [iter(g.out_edges(base))]
-    while stack:
-        e = next(stack[-1], None)
-        if e is None:
-            stack.pop()
-            if word:
-                word.pop()
-            continue
-        if e.dst == base:
-            results.append(tuple(word) + (e.name,))
-            if limit is not None and len(results) >= limit:
-                return results
-        elif len(word) + 1 < max_length and e.dst in reach_base:
-            word.append(e.name)
-            stack.append(iter(g.out_edges(e.dst)))
-    return results
-
-
 def simple_cycles(g: Graph) -> list[tuple[str, ...]]:
     """All vertex-simple directed cycles, as edge-name tuples.
 
     Johnson's algorithm ("Finding all the elementary circuits of a
-    directed graph", SIAM J. Comput. 1975), with explicit stacks.  Take a
-    strongly connected component and its least vertex s, list the cycles
-    through s inside it, remove s and split the rest into components
-    again.  So each cycle is found once, anchored at its least
-    vertex, which makes the listing canonical without rotation
+    directed graph", SIAM J. Comput. 1975), with explicit stacks, on the
+    vertex ids of the graph's index.  Take a strongly connected component
+    and its least vertex s, list the cycles through s inside it, remove s
+    and split the rest into components again, their searches started in
+    vertex declaration order.  So each cycle is found once, anchored at
+    its least vertex, which makes the listing canonical without rotation
     bookkeeping; loops and parallel edges yield distinct cycles.  The
-    components (:func:`graphs.strongly_connected_components`) only prune
-    the search: the answer comes from the cycles, not from the component
-    shapes that the decision reads.  A vertex stays blocked until a cycle
-    is found through it or through a vertex that waits on it, so a dead
-    end is walked at most once between two cycles, and the search takes
-    O((|V| + |E|)(c + 1)) steps for c cycles.  More than
-    ``CYCLE_SEARCH_BUDGET`` steps (edges followed, and edges copied out
-    with the cycles) raise :class:`GraphError`.
+    components (:func:`graphs._components`) only prune the search: the
+    answer comes from the cycles, not from the component shapes that the
+    decision reads.  A vertex stays blocked until a cycle is found through
+    it or through a vertex that waits on it, so a dead end is walked at
+    most once between two cycles, and the search takes
+    O((|V| + |E|)(c + 1)) steps for c cycles.  ``inside`` and ``blocked``
+    are bytearrays over the ids, and each component costs only its own size.
+    More than ``CYCLE_SEARCH_BUDGET`` steps (edges followed, and edges
+    copied out with the cycles) raise :class:`GraphError`.
     """
+    n = len(g.vertex_name)
+    start, out_edge, head, by_id = g.out_start, g.out_edge, g.out_head, g.edge_by_id
+    position = [0] * n
+    for i, v in enumerate(g.roots):
+        position[v] = i
+    inside, blocked = bytearray(n), bytearray(n)
+    # every vertex outside the searches of _components, and their scratch
+    num, scratch = [n + 1] * n, ([0] * n, [0] * n)
     cycles: list[tuple[str, ...]] = []
     steps = 0
-    work = strongly_connected_components(g)
+    work = list(g.components)
     while work:
         comp = work.pop()
         s = min(comp)
-        members = set(comp)
-        out = {v: [e for e in g.out_edges(v) if e.dst in members] for v in comp}
-        if len(comp) == 1 and not out[s]:
-            continue
-        blocked = {s}
-        waiting: dict[str, set[str]] = {v: set() for v in comp}
+        if len(comp) == 1 and s not in head[start[s] : start[s + 1]]:
+            continue  # a lone vertex without a loop
+        for v in comp:
+            inside[v] = 1
+        out = {
+            v: [(by_id[out_edge[p]].name, head[p]) for p in range(start[v], start[v + 1]) if inside[head[p]]]
+            for v in comp
+        }
+        blocked[s] = 1
+        waiting: dict[int, set[int]] = {}
         heads, word, closed = [s], [], [False]
         stack = [iter(out[s])]
         while stack:
-            for e in stack[-1]:
+            for name, w in stack[-1]:
                 steps += 1
-                if e.dst == s:
-                    cycles.append(tuple(word) + (e.name,))
+                if w == s:
+                    cycles.append(tuple(word) + (name,))
                     steps += len(word)
                     closed[-1] = True
-                elif e.dst not in blocked:
-                    blocked.add(e.dst)
-                    heads.append(e.dst)
-                    word.append(e.name)
+                elif not blocked[w]:
+                    blocked[w] = 1
+                    heads.append(w)
+                    word.append(name)
                     closed.append(False)
-                    stack.append(iter(out[e.dst]))
+                    stack.append(iter(out[w]))
                     break
             else:
                 # every out-edge of v is done: unblock v if a cycle ran
@@ -148,29 +115,36 @@ def simple_cycles(g: Graph) -> list[tuple[str, ...]]:
                     unblock = [v]
                     while unblock:
                         u = unblock.pop()
-                        if u in blocked:
-                            blocked.discard(u)
-                            unblock.extend(waiting[u])
-                            waiting[u].clear()
+                        if blocked[u]:
+                            blocked[u] = 0
+                            unblock.extend(waiting.pop(u, ()))
                 else:
-                    for e in out[v]:
-                        waiting[e.dst].add(v)
+                    for _, w in out[v]:
+                        waiting.setdefault(w, set()).add(v)
             if steps > CYCLE_SEARCH_BUDGET:
                 raise GraphError(
                     f"simple-cycle search exceeded its budget of {CYCLE_SEARCH_BUDGET} steps "
                     f"after {len(cycles)} cycles"
                 )
-        work += strongly_connected_components(g, members - {s})
+        for v in comp:
+            inside[v] = blocked[v] = 0
+        if sum(map(len, out.values())) == len(comp):
+            continue  # a simple cycle: without s it holds no cycle
+        rest = sorted(comp, key=position.__getitem__)
+        rest.remove(s)
+        for v in rest:
+            num[v] = 0
+        work += _components(g, rest, num, scratch)
     return cycles
 
 
-def _cycle_vertices(g: Graph, cycle: tuple[str, ...]) -> frozenset[str]:
-    return frozenset(g.edge(name).src for name in cycle)
+def _cycle_vertices(g: Graph, cycle: tuple[str, ...]) -> frozenset[int]:
+    return frozenset(g.edge_src[g.eid[name]] for name in cycle)
 
 
 def has_double_cycle_bruteforce(g: Graph) -> bool:
     """Two distinct simple cycles through a common vertex?"""
-    seen: set[str] = set()
+    seen: set[int] = set()
     for cycle in simple_cycles(g):
         vertices = _cycle_vertices(g, cycle)
         if vertices & seen:

@@ -52,7 +52,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
-from typing import Optional
+from json.encoder import encode_basestring_ascii
+from typing import Iterator, Optional
 
 from .fock import FockBasis, left_runs
 from .graphs import (
@@ -112,6 +113,31 @@ class FormalIsometryPair:
             "initial_set": sorted(self.initial_set),
         }
 
+    def iter_json(self) -> Iterator[str]:
+        """The text of ``json.dumps(self.to_json(), indent=2, sort_keys=True)``
+        in pieces, one per list and one per key between them.  The schema
+        is fixed, so the layout is written here and only the string leaves
+        are encoded, by the C encoder that ``json.dumps`` uses for a lone
+        string; the pure-Python encoder that ``indent`` selects is never
+        run."""
+        q = encode_basestring_ascii
+        yield '{\n  "initial_set": '
+        yield _json_array(list(map(q, sorted(self.initial_set))))
+        yield ',\n  "mode": ' + q(self.mode)
+        for key, side in (("summands_u", self.u_summands), ("summands_v", self.v_summands)):
+            yield f',\n  "{key}": '
+            yield _json_array([
+                '{\n      "source": %s,\n      "word": %s\n    }' % (q(s.source), q(literal(s.word)))
+                for s in side
+            ])
+        yield "\n}"
+
+
+def _json_array(items: list[str]) -> str:
+    """A list of encoded ``items`` laid out as ``json.dumps(indent=2)`` lays
+    out the value of a top-level key."""
+    return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
+
 
 def _field(obj, key: str, kind: type):
     """``obj[key]`` when ``obj`` is a JSON object holding a ``kind`` there."""
@@ -142,45 +168,61 @@ def pair_from_json(g: Graph, obj) -> FormalIsometryPair:
     return FormalIsometryPair(_field(obj, "mode", str), su, sv, frozenset(initial))
 
 
-def _reverse_distances(g: Graph, base: str) -> dict[str, int]:
-    """The length of a shortest path to ``base`` from every vertex that
-    reaches it: one breadth-first search along in-edges."""
+def _reverse_distances(g: Graph, base: int) -> dict[int, int]:
+    """The length of a shortest path to the vertex id ``base`` from every
+    vertex id that reaches it: one breadth-first search along in-edges."""
+    in_start, tail = g.in_start, g.in_tail
     dist = {base: 0}
     frontier = [base]
+    d = 0
     while frontier:
+        d += 1
         level = []
         for v in frontier:
-            for e in g.in_edges(v):
-                if e.src not in dist:
-                    dist[e.src] = dist[v] + 1
-                    level.append(e.src)
+            for u in tail[in_start[v] : in_start[v + 1]]:
+                if u not in dist:
+                    dist[u] = d
+                    level.append(u)
         frontier = level
     return dist
 
 
 def _part_summands(
-    g: Graph, witness: DoubleCycleWitness, members: list[str], dist: dict[str, int]
+    g: Graph, witness: DoubleCycleWitness, members: list[int], dist: dict[int, int]
 ) -> tuple[list[Summand], list[Summand]]:
-    """u_k = w1^(2k-1) w2 r_k and v_k = w1^(2k) w2 r_k for the k-th of
-    ``members`` (k from 1), with ``dist`` the distances to the witness base.
+    """u_k = w1^(2k-1) w2 r_k and v_k = w1^(2k) w2 r_k for the k-th of the
+    vertex ids ``members`` (k from 1), with ``dist`` the distances to the
+    witness base.
 
-    r_k takes, at every step, the least-named out-edge that comes one step
-    closer to the base: the least shortest path in traversal order.  It
-    walks real out-edges down to the base, and w1 and w2 are cycles at the
-    base, so each word composes and is built as a :class:`Path` directly.
+    r_k takes, at every step, the least-named out-edge, which is the first
+    by id, that comes one step closer to the base: the least shortest path
+    in traversal order.  So r of a vertex is its first edge followed by r
+    of the vertex that edge reaches, and each vertex's first edge is found
+    once, whichever members walk through it.  r walks real out-edges down
+    to the base, and w1 and w2 are cycles at the base, so each word
+    composes and is built as a :class:`Path` directly.
     """
     base, w1, w2 = witness.base, witness.first.word, witness.second.word
+    start, out_edge, head, by_id = g.out_start, g.out_edge, g.out_head, g.edge_by_id
+    # the r of each vertex id walked so far, ending with w2
+    prefixes = {g.vid[base]: w2}
     us, vs = [], []
     for k, xk in enumerate(members, start=1):
-        r, at = [], xk
-        while dist[at]:
-            e = next(e for e in g.out_edges(at) if dist.get(e.dst) == dist[at] - 1)
-            r.append(e.name)
-            at = e.dst
+        walk, at = [], xk
+        while at not in prefixes:
+            p = start[at]
+            while dist.get(head[p]) != dist[at] - 1:
+                p += 1
+            walk.append((at, by_id[out_edge[p]].name))
+            at = head[p]
+        for v, name in reversed(walk):
+            prefixes[v] = (name,) + prefixes[at]
+            at = v
         # traversal order: connecting path first, then w2, then the w1 blocks
-        head = tuple(r) + w2
-        us.append(Summand(xk, Path(xk, base, head + w1 * (2 * k - 1))))
-        vs.append(Summand(xk, Path(xk, base, head + w1 * (2 * k))))
+        x = g.vertex_name[xk]
+        prefix = prefixes[xk]
+        us.append(Summand(x, Path(x, base, prefix + w1 * (2 * k - 1))))
+        vs.append(Summand(x, Path(x, base, prefix + w1 * (2 * k))))
     return us, vs
 
 
@@ -191,11 +233,15 @@ def _formally_orthogonal(pair: FormalIsometryPair) -> None:
     a is a left factor of b iff the key ``(range,) + reversed edges`` of a
     is a prefix of that of b.  Among sorted keys, a key that is a prefix of
     another is a prefix of the next one, so comparing neighbours suffices.
+    The keys are joined by NUL, which no name holds and which sorts below
+    every other character, so the strings sort as the tuples would and a
+    key is a prefix of another iff its string is, up to a NUL; string
+    comparison does not step through a long common prefix name by name.
     """
     words = [s.word for s in pair.u_summands + pair.v_summands]
-    keys = sorted(((p.target,) + p.edges[::-1], i) for i, p in enumerate(words))
+    keys = sorted(("\0".join((p.target,) + p.edges[::-1]) + "\0", i) for i, p in enumerate(words))
     for (a, i), (b, j) in zip(keys, keys[1:]):
-        if b[: len(a)] == a:
+        if b.startswith(a):
             raise PairConstructionError(
                 f"summand words {literal(words[i])} and {literal(words[j])} interfere: "
                 "the first is a left factor of the second"
@@ -218,10 +264,12 @@ def construct_pair_double_cycle(g: Graph) -> FormalIsometryPair:
     proves that no word is a left factor of another.
     """
     witness = _first_witness(g)
-    dist = _reverse_distances(g, witness.base)
+    dist = _reverse_distances(g, g.vid[witness.base])
     members = sorted(dist)
     us, vs = _part_summands(g, witness, members, dist)
-    pair = FormalIsometryPair("double-cycle", tuple(us), tuple(vs), frozenset(members))
+    pair = FormalIsometryPair(
+        "double-cycle", tuple(us), tuple(vs), frozenset(s.source for s in us)
+    )
     _formally_orthogonal(pair)
     return pair
 
@@ -239,18 +287,18 @@ def construct_pair_unital(g: Graph) -> FormalIsometryPair:
         raise PairConstructionError("cannot build a unital pair over the empty graph")
     us: list[Summand] = []
     vs: list[Summand] = []
-    assigned: set[str] = set()
+    assigned: set[int] = set()
     for witness in double_cycle_witnesses(g):
-        dist = _reverse_distances(g, witness.base)
+        dist = _reverse_distances(g, g.vid[witness.base])
         members = sorted(dist.keys() - assigned)
         assigned.update(members)
         part_u, part_v = _part_summands(g, witness, members, dist)
         us += part_u
         vs += part_v
-    for v in g.vertices:
+    for v in g.roots:
         if v not in assigned:
             raise PairConstructionError(
-                f"the saturation of vertex {v!r} contains no double-cycle; "
+                f"the saturation of vertex {g.vertex_name[v]!r} contains no double-cycle; "
                 "the graph is not uniformly aperiodic"
             )
     pair = FormalIsometryPair("unital", tuple(us), tuple(vs), frozenset(g.vertices))
@@ -468,7 +516,7 @@ def verify_pair(mat: MaterializedPair) -> VerificationReport:
     ``partial_isometry_report`` of the tests are the reference.
     """
     b, level, initial_set = mat.basis, mat.level, mat.pair.initial_set
-    unknown = initial_set - set(b.graph.vertices)
+    unknown = initial_set - b.vertex_id.keys()
     if unknown:
         raise GraphError(f"unknown vertex {min(unknown)!r}")
     interior = b.upto(level)
@@ -476,7 +524,7 @@ def verify_pair(mat: MaterializedPair) -> VerificationReport:
     # range vertex id x; the paths of length k into y are the paths of
     # length k - 1 followed by an edge into y, and once a level is empty
     # so are all longer ones
-    ends = [(b.vertex_id[e.src], b.vertex_id[e.dst]) for e in b.graph.edges]
+    ends = list(zip(b.graph.edge_src, b.graph.edge_dst))
     paths_k = [1] * len(b.vertices)
     sizes = [paths_k]
     for _ in range(b.depth):

@@ -101,10 +101,11 @@ def enumerate_paths(g: Graph, max_length: int) -> list[Path]:
         raise GraphError("max_length must be >= 0")
     level = sorted((unit(g, v) for v in g.vertices), key=lambda p: p.source)
     out = list(level)
+    out_edges = {v: g.out_edges(v) for v in g.vertices}
     for _ in range(max_length):
         nxt = []
         for p in level:
-            for e in g.out_edges(p.target):
+            for e in out_edges[p.target]:
                 nxt.append(Path(p.source, e.dst, p.edges + (e.name,)))
         if not nxt:
             break

@@ -36,7 +36,7 @@ def left_map(b: FockBasis, w: Path) -> dict[int, int]:
     cols = [i for i in range(b.offsets[1], b.upto(b.depth - len(w))) if target[i] == s]
     rows = cols
     for e in w.edges:
-        rank = b._edge[e][1]
+        rank = b.graph.edge_rank[b.graph.eid[e]]
         rows = [first_child[i] + rank for i in rows]
     out = {s: b.ordinal(w)}
     out.update(zip(cols, rows))

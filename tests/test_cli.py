@@ -14,6 +14,9 @@ from hypothesis import strategies as st
 import partlyfree
 from partlyfree import catalog
 from partlyfree.cli import build_parser, main
+from partlyfree.pairs import MODES, FormalIsometryPair, PairConstructionError, Summand, construct_pair
+from partlyfree.paths import Path
+from test_paths import graphs
 
 
 def run(capsys, *argv):
@@ -214,6 +217,60 @@ def test_construct_deterministic(capsys):
     assert pair["summands_v"] == [{"source": "x", "word": "f"}]
 
 
+def _catalog_windows():
+    graphs = [catalog.builtin(name).graph for name in catalog.DEFAULT_FINITE_NAMES]
+    for name in catalog.FAMILY_NAMES:
+        entry = catalog.builtin(name)
+        if entry.truncate is not None:
+            graphs.append(entry.truncate(entry.default_window))
+    return graphs
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.sampled_from(_catalog_windows()), graphs(max_vertices=6, max_edges=10)), st.sampled_from(MODES))
+def test_construct_writes_what_the_json_encoder_writes(g, mode):
+    try:
+        pair = construct_pair(g, mode)
+    except PairConstructionError:
+        return
+    assert "".join(pair.iter_json()) == json.dumps(pair.to_json(), indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("name, mode", [("partly_free_D", "unital"), ("tree_Gn(2)", "infinite-path")])
+def test_construct_output_is_the_json_encoder_text(capsys, name, mode):
+    code, out, _ = run(capsys, "construct", name, "--mode", mode)
+    graph = catalog.builtin(name).graph or catalog.family_truncation(name)
+    assert code == 0
+    assert out == json.dumps(construct_pair(graph, mode).to_json(), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_pair_json_layout_of_empty_and_short_lists(n):
+    loops = [Path(f"v{i}", f"v{i}", (f"e{i}",)) for i in range(n)]
+    pair = FormalIsometryPair(
+        "unital", tuple(Summand(p.source, p) for p in loops), (), frozenset(p.source for p in loops)
+    )
+    assert "".join(pair.iter_json()) == json.dumps(pair.to_json(), indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("name", ["partly_free_D", "cycle(3)", "cycle_inf", "tree_Gn(2)", "rationals_Q"])
+def test_analyze_json_is_the_json_encoder_text(capsys, name):
+    code, out, _ = run(capsys, "analyze", name, "--json")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+def test_analyze_json_of_the_empty_graph_carries_its_warning(tmp_path, capsys):
+    path = tmp_path / "empty.graph"
+    path.write_text("# only a comment\n")
+    code, out, _ = run(capsys, "analyze", str(path), "--json")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+    assert json.loads(out)["warnings"] == [
+        "empty vertex set: uniform properties are vacuously true but reported false"
+    ]
+
+
 # ---------------------------------------------------------------- oracle
 
 def test_oracle_single_graph(capsys):
@@ -288,6 +345,20 @@ def test_fock_rational_scalars_and_right_ops(capsys):
     )
     assert code == 0
     assert "1 0 -1/2" in out
+
+
+def test_fock_negative_leading_coefficient_as_its_own_argument(capsys):
+    # argparse would take "-1/2*L:e" for an option; it is joined to --op
+    joined = run(capsys, "fock", "n_loops(2)", "--depth", "1", "--op=-1/2*L:e")
+    assert run(capsys, "fock", "n_loops(2)", "--depth", "1", "--op", "-1/2*L:e") == joined
+    assert joined[0] == 0 and joined[1].splitlines()[1:] == ["1 0 -1/2"]
+
+
+def test_fock_op_followed_by_an_option_is_still_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["fock", "n_loops(2)", "--op", "--depth", "3"])
+    assert info.value.code == 1
+    assert "argument --op: expected one argument" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- catalog

@@ -18,7 +18,7 @@ from partlyfree import (
     transpose,
 )
 
-from partlyfree.oracle import first_return_cycles
+from reference import first_return_cycles
 
 from conftest import cycle_graph
 from test_paths import graphs
@@ -71,6 +71,58 @@ def test_render_round_trip(graph_d):
 def test_dot_export(graph_d):
     dot = to_dot(graph_d)
     assert dot.startswith("digraph") and '"x" -> "y" [label="f"]' in dot
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("vertex x\nvertex b@d\n", "line 2: invalid vertex name 'b@d'"),
+        ("vertex x\nvertex x\n", "line 2: duplicate vertex 'x'"),
+        ("vertex x\nedge e x y\n", "line 2: undeclared endpoint 'y'"),
+        ("vertex x\nedge e a b\n", "line 2: undeclared endpoint 'a'"),
+        ("vertex x\n\n  # note\nedge e x\n", "line 4: malformed line 'edge e x'"),
+        ("vertex x y\n", "line 1: malformed line 'vertex x y'"),
+        ("vertex x\nedge e-1 x x\n", "invalid edge name 'e-1'"),
+        ("vertex x\nedge e x x\nedge e x x\n", "duplicate edge 'e'"),
+        # the first bad line wins, whatever its kind
+        ("vertex b@d\nbogus\n", "line 1: invalid vertex name 'b@d'"),
+        ("vertex b@d\nvertex b@d\n", "line 1: invalid vertex name 'b@d'"),
+        ("vertex ok\nvertex b@d\nedge e ok zz\n", "line 2: invalid vertex name 'b@d'"),
+        ("vertex x\nbogus\nvertex b@d\n", "line 2: malformed line 'bogus'"),
+        # a bad edge name is reported once every line parses, without a line
+        ("vertex x\nedge e-1 x x\nbogus\n", "line 3: malformed line 'bogus'"),
+        ("vertex x\nedge e x x\nedge f- x x\nedge e x x\n", "invalid edge name 'f-'"),
+        ("vertex x\nedge e x x\nedge e x x\nedge f- x x\n", "duplicate edge 'e'"),
+    ],
+)
+def test_parse_error_messages_are_pinned(text, message):
+    with pytest.raises(GraphError) as info:
+        parse_graph(text)
+    assert str(info.value) == message
+
+
+def test_parse_comment_only_file_is_the_empty_graph():
+    g = parse_graph("# only a comment\n\n   # and another\n")
+    assert g == Graph((), ())
+    assert classify_finite(g).warnings
+
+
+@pytest.mark.parametrize(
+    "vertices, edges, message",
+    [
+        (("x", "a-b"), (), "invalid vertex name 'a-b'"),
+        (("x", "y", "x"), (), "duplicate vertex 'x'"),
+        (("x",), (("e-1", "x", "x"),), "invalid edge name 'e-1'"),
+        (("x",), (("e", "x", "x"), ("e", "x", "x")), "duplicate edge 'e'"),
+        (("x",), (("e", "x", "y"),), "edge 'e' has undeclared endpoint"),
+        (("x", "a b"), (("e-1", "x", "x"),), "invalid vertex name 'a b'"),
+        (("x",), (("e", "y", "x"), ("f-", "x", "x")), "edge 'e' has undeclared endpoint"),
+    ],
+)
+def test_graph_error_messages_are_pinned(vertices, edges, message):
+    with pytest.raises(GraphError) as info:
+        Graph(vertices, edges)
+    assert str(info.value) == message
 
 
 # ---------------------------------------------------------------- transpose

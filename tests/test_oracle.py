@@ -1,6 +1,4 @@
-import itertools
 import random
-from typing import Optional
 
 import pytest
 
@@ -9,8 +7,6 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from partlyfree import Graph, GraphError, catalog, double_cycle_witnesses, fock, oracle
 from partlyfree.fock import build_basis, length_projection
 from partlyfree.oracle import (
-    SearchHit,
-    _candidate_operators,
     agreement_run,
     has_double_cycle_bruteforce,
     random_graph,
@@ -19,7 +15,7 @@ from partlyfree.oracle import (
 )
 
 from conftest import cycle_graph
-from reference import is_left_divisor, sum_left_ops
+from reference import reference_search
 from test_paths import graphs
 
 
@@ -159,93 +155,6 @@ def test_search_finds_pairs_where_they_exist(two_loops):
     assert sources == {"x"}
 
 
-def _reference_search(
-    g: Graph,
-    depth: Optional[int] = None,
-    max_word_length: int = 4,
-    max_summands: int = 2,
-) -> list[SearchHit]:
-    """The bounded search on ``SparseOp`` products of ``Fraction``s: the
-    reference for the partial-map search of :func:`search_isometry_pairs`.
-
-    Word-level prefilters discard pairs whose orthogonality already fails
-    (a cross product L_a* L_b is nonzero iff a, b are left-factor
-    comparable, and depth >= 2 * max_word_length preserves a witness
-    entry of that) or whose diagonal initial supports provably differ;
-    every surviving candidate is checked with matrices.
-    """
-    if depth is None:
-        depth = 2 * max_word_length
-    if depth < 2 * max_word_length:
-        raise ValueError("depth must be at least twice the word bound")
-    basis = build_basis(g, depth)
-    em = length_projection(basis, depth - max_word_length)
-    candidates = _candidate_operators(g, max_word_length, max_summands)
-
-    # the search space is quadratic in the candidate count, so the word
-    # divisibility relation is tabulated once over the path pool
-    pool = sorted({s.word for cand in candidates for s in cand}, key=lambda p: (p.edges, p.source))
-    pool_index = {p: i for i, p in enumerate(pool)}
-    interferes: set[tuple[int, int]] = set()
-    for i, a in enumerate(pool):
-        for j, b in enumerate(pool):
-            if is_left_divisor(a, b) or is_left_divisor(b, a):
-                interferes.add((i, j))
-    cand_words = [tuple(pool_index[s.word] for s in cand) for cand in candidates]
-    cand_sources = [frozenset(s.source for s in cand) for cand in candidates]
-    divisor_free = [
-        all((a, b) not in interferes for a, b in itertools.combinations(ws, 2))
-        for ws in cand_words
-    ]
-
-    # everything but U*V is a property of one candidate; compute it once
-    profiles: dict[int, Optional[tuple]] = {}
-
-    def profile(i: int) -> Optional[tuple]:
-        """(op, adjoint, compressed initial, initial support, range support),
-        or None when the candidate is zero or not a partial isometry."""
-        if i not in profiles:
-            u = sum_left_ops(basis, candidates[i])
-            if u.is_zero():
-                profiles[i] = None
-            else:
-                ua = u.adjoint()
-                uu = ua * u
-                if uu * uu != uu:
-                    profiles[i] = None
-                else:
-                    uu_m = em * uu * em
-                    sup_init = uu_m.diagonal_01_support()
-                    sup_range = (em * (u * ua) * em).diagonal_01_support()
-                    if sup_init is None or sup_range is None:
-                        raise AssertionError("integer idempotent was not 0/1 diagonal")
-                    profiles[i] = (u, ua, uu_m, sup_init, sup_range)
-        return profiles[i]
-
-    found: list[SearchHit] = []
-    for i, cu in enumerate(candidates):
-        wu = cand_words[i]
-        u_sources = cand_sources[i]
-        for j, cv in enumerate(candidates):
-            if any((a, b) in interferes for a in wu for b in cand_words[j]):
-                continue  # U*V != 0, exactly
-            if divisor_free[i] and divisor_free[j]:
-                if u_sources != cand_sources[j]:
-                    continue  # 0/1 diagonal initial supports differ at the units
-            pu, pv = profile(i), profile(j)
-            if pu is None or pv is None:
-                continue  # zero or not a partial isometry
-            u, u_adj, uu_m, sup_uu, sup_ru = pu
-            v, _, vv_m, sup_vv, sup_rv = pv
-            if not sup_uu or uu_m != vv_m:
-                continue  # compressed initial projections differ or carry no content
-            if not (u_adj * v).is_zero():
-                continue
-            if sup_ru <= sup_uu and sup_rv <= sup_vv:
-                found.append(SearchHit(cu, cv))
-    return found
-
-
 @pytest.mark.parametrize("max_summands", [0, 3, -1])
 def test_search_rejects_unsupported_summand_counts(c2, max_summands):
     with pytest.raises(ValueError, match="max_summands"):
@@ -275,7 +184,7 @@ def test_search_matches_reference_where_pairs_exist(name, bound, extra):
     depth = 2 * bound + extra
     hits = search_isometry_pairs(g, depth=depth, max_word_length=bound)
     assert hits
-    assert hits == _reference_search(g, depth=depth, max_word_length=bound)
+    assert hits == reference_search(g, depth=depth, max_word_length=bound)
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -293,4 +202,4 @@ def test_search_matches_sparse_op_reference(seed, bound, extra, max_summands):
     assume(build_basis(g, depth).dim <= 500)
     assert search_isometry_pairs(
         g, depth=depth, max_word_length=bound, max_summands=max_summands
-    ) == _reference_search(g, depth=depth, max_word_length=bound, max_summands=max_summands)
+    ) == reference_search(g, depth=depth, max_word_length=bound, max_summands=max_summands)

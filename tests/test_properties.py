@@ -23,7 +23,7 @@ from partlyfree import (
 )
 from partlyfree.catalog import builtin
 from partlyfree import catalog
-from partlyfree.oracle import first_return_cycles
+from reference import first_return_cycles
 
 from conftest import partial_map
 from reference import sum_left_ops
