@@ -21,7 +21,7 @@ The basis is a trie of flat integer arrays (:class:`FockBasis`), one
 entry per path; building, hashing and applying L_w and R_w to it create
 no :class:`Path` objects, and a path is read back up the trie only where
 needed (the Fourier tables' unit columns).  L_w is read off the trie as
-a run, two strictly ascending lists of ordinals (:func:`left_runs`
+a run, two strictly ascending ``array("i")`` of ordinals (:func:`left_runs`
 proves the order), on which :mod:`pairs` decides its identities; sums of
 q times such 0/1 maps are added into one dict by :func:`combine_runs`.
 """
@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
+from struct import pack
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .graphs import Graph, GraphError
@@ -42,6 +43,7 @@ from .paths import Path, enumerate_paths, literal, unit
 
 DEFAULT_BASIS_CAP = 2_000_000
 CHUNK = 1 << 10  # parents per chunk of a level in build_basis
+RUN_CHUNK = 1 << 12  # scanned columns per chunk of left_runs
 
 
 class BasisCapError(GraphError):
@@ -59,7 +61,7 @@ class FockBasis:
     parents, and siblings are in edge-name order.  So the child of a path
     i of length >= 1 along e is ``first_child[i]`` plus the rank of e among
     the out-edges of its source, and the child of a unit along e is the
-    one-edge path e (:meth:`child`).
+    one-edge path e (the step in :meth:`ordinal`).
 
     * ``vertices``: the vertex names in sorted order; a vertex id is a
       position in it, which is also the ordinal of its unit;
@@ -99,13 +101,6 @@ class FockBasis:
     def length(self, i: int) -> int:
         return bisect_right(self.offsets, i) - 1
 
-    def child(self, i: int, e: str) -> int:
-        """Ordinal of path i followed by edge e; e must start at the range
-        of path i, which must be shorter than the depth."""
-        g = self.graph
-        k = g.eid[e]
-        return self.offsets[1] + k if i < self.offsets[1] else self.first_child[i] + g.edge_rank[k]
-
     def ordinal(self, p: Path) -> int:
         g = self.graph
         i = self.vertex_id.get(p.source)
@@ -116,7 +111,7 @@ class FockBasis:
                 k = eid.get(e)
                 if k is None or src[k] != target[i]:
                     break
-                # self.child(i, e), inlined in this hot loop
+                # the child of path i along e
                 i = one + k if i < one else first_child[i] + rank[k]
             else:
                 if self.vertices[self.target[i]] == p.target:
@@ -189,7 +184,7 @@ def build_basis(g: Graph, depth: int, cap: int = DEFAULT_BASIS_CAP) -> FockBasis
 
     The arrays take at most 12 bytes per path (a 4-byte target and an
     8-byte first child), about 24 MB at the default cap of 2,000,000
-    paths; reading ``paths`` adds a few hundred bytes per path on top.
+    paths; the runs of :func:`left_runs` add 8 bytes per entry.
     """
     if depth < 0:
         raise GraphError("depth must be >= 0")
@@ -351,24 +346,29 @@ class SparseOp:
         return f"SparseOp(dim={self.basis.dim}, nnz={self.nnz})"
 
 
-def left_runs(b: FockBasis, words: Sequence[Path]) -> list[tuple[list[int], list[int]]]:
+Run = tuple[array, array]
+
+
+def left_runs(b: FockBasis, words: Sequence[Path]) -> list[Run]:
     """The runs of the truncated L_w, one for each of ``words``, which
     must share one source.
 
     The run of L_w is its 0/1 partial map v |-> wv, for every path v with
-    range source(w) and |wv| <= N, as two lists of basis ordinals: the
-    columns v and, at the same positions, the rows wv.  A word longer than
-    the depth gives the empty run.  A sum of L_w over distinct sources is
-    the union of their runs, since their columns are disjoint.
+    range source(w) and |wv| <= N, as two ``array("i")`` of basis
+    ordinals: the columns v and, at the same positions, the rows wv.  A
+    word longer than the depth gives the empty run.  A sum of L_w over
+    distinct sources is the union of their runs, since their columns are
+    disjoint.
 
-    One scan finds the columns of the shortest word that fits; each
-    longer word keeps a prefix of them (found by bisection).  The unit
-    column maps to w itself, and every longer column takes |w| child
-    steps along the edges of w; the steps along the common traversal
-    prefix of the words are taken once for all of them.  So no path is
-    built or hashed.
+    One scan finds the columns of the shortest word that fits, ``RUN_CHUNK``
+    ordinals at a time; each longer word keeps a prefix of them (found by
+    bisection).  The unit column maps to w itself, and every longer column
+    takes |w| child steps along the edges of w; the steps along the common
+    traversal prefix of the words are taken once for all of them.  So no
+    path is built or hashed, and a chunk's lists are the only Python ints
+    held.
 
-    Both lists of a run are strictly ascending, the unit column first:
+    Both arrays of a run are strictly ascending, the unit column first:
 
     * the columns are scanned in ordinal order; the unit's ordinal is its
       vertex id, below every path of length >= 1;
@@ -388,7 +388,7 @@ def left_runs(b: FockBasis, words: Sequence[Path]) -> list[tuple[list[int], list
         _check_path(b.graph, w)
     fits = [w for w in words if len(w) <= b.depth]
     if not fits:
-        return [([], []) for _ in words]
+        return [(array("i"), array("i")) for _ in words]
     s = b.vertex_id[fits[0].source]
     target, first_child = b.target, b.first_child
 
@@ -401,31 +401,45 @@ def left_runs(b: FockBasis, words: Sequence[Path]) -> list[tuple[list[int], list
         return rows
 
     shortest = min(map(len, fits))
-    scan = [i for i in range(b.offsets[1], b.upto(b.depth - shortest)) if target[i] == s]
     common = 0
     while common < shortest and len({w.edges[common] for w in fits}) == 1:
         common += 1
-    shared = steps(scan, fits[0].edges[:common])
-    runs = []
-    for w in words:
-        if len(w) > b.depth:
-            runs.append(([], []))
-            continue
-        n = bisect_left(scan, b.upto(b.depth - len(w)))
-        runs.append(([s] + scan[:n], [b.ordinal(w)] + steps(shared[:n], w.edges[common:])))
+    runs = [(array("i"), array("i")) for _ in words]
+    for w, (cols, rows) in zip(words, runs):
+        if len(w) <= b.depth:
+            cols.append(s)
+            rows.append(b.ordinal(w))
+    # each word's columns end below its cut; a word past the depth has cut 0
+    cuts = [b.upto(b.depth - len(w)) for w in words]
+    end = b.upto(b.depth - shortest)
+    for lo in range(b.offsets[1], end, RUN_CHUNK):
+        hi = min(lo + RUN_CHUNK, end)
+        # on one vertex every path ends at s
+        scan = list(range(lo, hi)) if len(b.vertices) == 1 else [
+            i for i, t in enumerate(target[lo:hi], lo) if t == s
+        ]
+        shared = steps(scan, fits[0].edges[:common])
+        for w, (cols, rows), cut in zip(words, runs, cuts):
+            if lo < cut:
+                n = bisect_left(scan, cut)
+                # packing converts a list about twice as fast as array.fromlist
+                fmt = f"{n}i"
+                cols.frombytes(pack(fmt, *scan[:n]))
+                rows.frombytes(pack(fmt, *steps(shared[:n], w.edges[common:])))
     return runs
 
 
-def left_map(b: FockBasis, w: Path) -> tuple[list[int], list[int]]:
+def left_map(b: FockBasis, w: Path) -> Run:
     """The truncated L_w as its run ``(cols, rows)``: two strictly
-    ascending lists of basis ordinals, the unit column first, with
-    L_w xi_cols[k] = xi_rows[k] (:func:`left_runs`)."""
+    ascending ``array("i")`` of basis ordinals, the unit column first,
+    with L_w xi_cols[k] = xi_rows[k] (:func:`left_runs`)."""
     return left_runs(b, (w,))[0]
 
 
-def right_map(b: FockBasis, w: Path) -> tuple[list[int], list[int]]:
+def right_map(b: FockBasis, w: Path) -> Run:
     """The truncated right-regular operator R_w (Q_x for a unit) as its
-    0/1 partial map ``(cols, rows)``, with R_w xi_cols[k] = xi_rows[k].
+    0/1 partial map ``(cols, rows)``, two ``array("i")`` of basis
+    ordinals, with R_w xi_cols[k] = xi_rows[k].
 
     R_w maps the unit at target(w) to w, and v followed by an edge e to
     R_w v followed by e; so every column's image is one child step from
@@ -433,7 +447,7 @@ def right_map(b: FockBasis, w: Path) -> tuple[list[int], list[int]]:
     than the depth gives the empty map."""
     _check_path(b.graph, w)
     if len(w) > b.depth:
-        return [], []
+        return array("i"), array("i")
     g = b.graph
     start, out_edge = g.out_start, g.out_edge
     one, first_child, target = b.offsets[1], b.first_child, b.target
@@ -441,8 +455,8 @@ def right_map(b: FockBasis, w: Path) -> tuple[list[int], list[int]]:
     rows = {b.vertex_id[w.target]: b.ordinal(w)}
     # the parents: columns whose children v still have |vw| <= N.  A column
     # and its image end at the same vertex t; their children along the
-    # out-edge at position p of t (b.child, inlined) are the one-edge path
-    # out_edge[p] for a unit, else first_child + p - start[t]
+    # out-edge at position p of t are the one-edge path out_edge[p] for a
+    # unit, else first_child + p - start[t]
     for i in range(b.upto(b.depth - len(w) - 1)):
         image = rows.get(i)
         if image is not None:
@@ -453,7 +467,8 @@ def right_map(b: FockBasis, w: Path) -> tuple[list[int], list[int]]:
                 rows[one + out_edge[p] if i < one else c + p] = (
                     one + out_edge[p] if image < one else r + p
                 )
-    return list(rows), list(rows.values())
+    fmt = f"{len(rows)}i"
+    return array("i", pack(fmt, *rows)), array("i", pack(fmt, *rows.values()))
 
 
 def left_op(b: FockBasis, w: Path) -> SparseOp:
@@ -466,9 +481,7 @@ def right_op(b: FockBasis, w: Path) -> SparseOp:
     return combine_runs(b, [(1, right_map(b, w))])
 
 
-def combine_runs(
-    b: FockBasis, terms: Sequence[tuple[Fraction, tuple[list[int], list[int]]]]
-) -> SparseOp:
+def combine_runs(b: FockBasis, terms: Sequence[tuple[Fraction, Run]]) -> SparseOp:
     """sum_t q_t T_t for terms ``(q_t, (cols, rows))``, each T_t a 0/1 map.
 
     An entry reached by one term shares that term's coefficient object;

@@ -53,9 +53,9 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from typing import Iterator, Optional
+from typing import Iterator, Sequence
 
-from .fock import FockBasis, left_runs
+from .fock import FockBasis, Run, left_runs
 from .graphs import (
     DoubleCycleWitness,
     Graph,
@@ -368,14 +368,14 @@ def construct_pair(g: Graph, mode: str) -> FormalIsometryPair:
     raise PairConstructionError(f"unknown mode {mode!r}")
 
 
-Run = tuple[list[int], list[int]]
+WINDOW = 1 << 13  # ordinals per window of verify_pair
 
 
 @dataclass(frozen=True)
 class MaterializedPair:
     """U and V on a truncated Fock space, each as one run ``(cols, rows)``
     of basis ordinals per summand, in summand order (:func:`fock.left_runs`:
-    both lists strictly ascending, the unit column first), with the
+    two strictly ascending ``array("i")``, the unit column first), with the
     interior level and per-summand levels.  The runs of one operator have
     disjoint columns, and their union is its 0/1 partial map col -> row;
     ``SparseOp`` sums of ``left_op`` are the test reference."""
@@ -498,22 +498,35 @@ def verify_pair(mat: MaterializedPair) -> VerificationReport:
     U and V are the partial maps f, g of ``mat``, the unions of their
     runs, and each identity is decided exactly with integers and sets:
 
-    * U*U is [f(i) == f(j)], a projection iff f is injective, that is iff
-      the image, the set of all rows, has as many members as there are
-      columns;
-    * U*V == 0 iff f and g have disjoint images;
+    * U*U is [f(i) == f(j)], a projection iff f repeats no row;
+    * U*V == 0 iff f and g share no row;
     * UU* is the diagonal of the fibre sizes of f;
-    * E_m keeps the ordinals below ``upto(m)``, and both lists of a run
-      are strictly ascending (:func:`fock.left_runs`), so the compressed
-      domain and range of a run are prefixes of its columns and its rows,
-      found by bisection;
+    * E_m keeps the ordinals below ``upto(m)``, and both arrays of a run
+      are strictly ascending (:func:`fock.left_runs`), so the columns of a
+      run in E_m are a prefix, found by bisection, and their rows the
+      same prefix of its rows;
+    * the columns of one operator are disjoint, as its sources are
+      distinct and a run's columns end at its source, so dom f in E_m has
+      as many members as those prefixes have entries;
     * the columns of a run share the range vertex of its source, so the
       longest member of dom f at that vertex is the last column of the
       run, since ordinals grow with length.
 
-    When f is not injective, the compressed domain and range are checked
-    for repeated rows on their own.  ``SparseOp`` products and the
-    ``partial_isometry_report`` of the tests are the reference.
+    The rest is one sweep over the ordinals in windows of ``WINDOW``,
+    ``upto(m)`` being a window bound, each run cut into slices by
+    bisection, so no set outgrows a window.  Each identity relates equal
+    ordinals, which fall in one window:
+
+    * f repeats a row (of two runs: a run repeats none), or shares one
+      with g, iff some window does;
+    * E_m f*f E_m is a 0/1 diagonal iff f repeats no row of a column in
+      E_m, and E_m ff* E_m iff it repeats no row in a window below
+      ``upto(m)``;
+    * range f in E_m lies in dom f in E_m iff in each window below
+      ``upto(m)`` every row of f is a column of f.
+
+    ``SparseOp`` products and the ``partial_isometry_report`` of the
+    tests are the reference.
     """
     b, level, initial_set = mat.basis, mat.level, mat.pair.initial_set
     unknown = initial_set - b.vertex_id.keys()
@@ -545,79 +558,81 @@ def verify_pair(mat: MaterializedPair) -> VerificationReport:
         size = sum(sizes[min(m, len(sizes) - 1)][x] for x, m in levels.items() if m >= 0)
         return count == size and all(i < b.upto(levels.get(x, -1)) for x, i in top.items())
 
-    def support(parts) -> Optional[set[int]]:
-        """The union of the lists ``parts``, None when they repeat a member."""
-        members = list(chain.from_iterable(parts))
-        union = set(members)
-        return union if len(union) == len(members) else None
+    def part(run: Sequence[int], lo: int, hi: int) -> Sequence[int]:
+        """The members of the ascending ``run`` in [lo, hi)."""
+        return run[bisect_left(run, lo) : bisect_left(run, hi)]
 
-    def read(runs: tuple[Run, ...]):
-        """Return, for the map h of ``runs``: its number of columns, its
-        image, whether it is injective, its longest column at each range
-        vertex id, the vertex set of the standard form of U*U (None when it
-        has none), and the supports of E U*U E (dom h in E, with its
-        longest member at each range vertex id) and of E UU* E (range h in
-        E), each None when that is no 0/1 diagonal."""
+    def distinct(parts: list[Sequence[int]]) -> bool:
+        """Do the ascending ``parts`` share no member?  A set holds all but the longest."""
+        parts = sorted(parts, key=len)
+        seen = set(chain.from_iterable(parts[:-1]))
+        return len(seen) == sum(map(len, parts[:-1])) and seen.isdisjoint(parts[-1] if parts else ())
+
+    # per operator h: injective, E h*h E and E hh* E 0/1 diagonals, range in domain in E
+    names = ("injective", "diagonal", "ranges", "contained")
+    flags_u, flags_v = dict.fromkeys(names, True), dict.fromkeys(names, True)
+    sides = [(mat.u, flags_u), (mat.v, flags_v)]
+    orthogonal = True
+    bounds = [*range(0, interior, WINDOW), *range(interior, b.dim, WINDOW), b.dim]
+    for lo, hi in zip(bounds, bounds[1:]):
+        inside = lo < interior
+        rows_in = [[p for _, rows in runs if (p := part(rows, lo, hi))] for runs, _ in sides]
+        if not inside and distinct(rows_in[0] + rows_in[1]):
+            continue  # no row of f or g repeats here, and none is shared
+        images = [set(chain.from_iterable(parts)) for parts in rows_in]
+        orthogonal = orthogonal and images[0].isdisjoint(images[1])
+        for image, parts, (runs, flags) in zip(images, rows_in, sides):
+            if len(image) < sum(map(len, parts)):
+                flags["injective"] = False
+                flags["ranges"] = flags["ranges"] and not inside
+                flags["diagonal"] = flags["diagonal"] and distinct([
+                    r[bisect_left(r, lo) : min(bisect_left(r, hi), bisect_left(c, interior))]
+                    for c, r in runs
+                ])
+            if inside:
+                image.difference_update(chain.from_iterable(part(cols, lo, hi) for cols, _ in runs))
+                flags["contained"] = flags["contained"] and not image
+
+    def judge(runs: tuple[Run, ...], flags: dict[str, bool], levels: dict[str, int]):
+        """For the map h of ``runs``: its number of columns, and whether h*h is
+        blockwise exact at ``levels``, E h*h E is sum P_x E_m over the initial
+        set, and h*h has the standard form over the sources that fit."""
         count = sum(len(cols) for cols, _ in runs)
-        image = set(chain.from_iterable(rows for _, rows in runs))
-        injective = len(image) == count
         # the unit's ordinal is its vertex id, and it heads every non-empty run
         top = {cols[0]: cols[-1] for cols, _ in runs if cols}
-        lengths = {x: b.length(i) for x, i in top.items()}
-        standard = injective and is_block(count, top, lengths)
-        vertex_set = frozenset(b.vertices[x] for x in top) if standard else None
-        cuts = [(cols, rows, bisect_left(cols, interior)) for cols, rows in runs]
-        initial = None
-        if injective or support(rows[:k] for _, rows, k in cuts) is not None:
-            initial = (
-                set(chain.from_iterable(cols[:k] for cols, _, k in cuts)),
-                {cols[0]: cols[k - 1] for cols, _, k in cuts if k},
-            )
-        ranges = support(rows[:bisect_left(rows, interior)] for _, rows in runs)
-        return count, image, injective, top, vertex_set, initial, ranges
+        cuts = [bisect_left(cols, interior) for cols, _ in runs]
+        compressed = {cols[0]: cols[k - 1] for (cols, _), k in zip(runs, cuts) if k}
+        standard = flags["injective"] and is_block(count, top, {x: b.length(i) for x, i in top.items()})
+        return (
+            count,
+            flags["injective"] and is_block(count, top, ids(levels)),
+            flags["diagonal"] and is_block(sum(cuts), compressed, ids(dict.fromkeys(initial_set, level))),
+            standard and {b.vertices[x] for x in top} == {x for x, m in levels.items() if m >= 0},
+        )
 
-    count_u, image_u, injective_u, top_u, vertex_set_u, s_u, lhs_u = read(mat.u)
-    count_v, image_v, injective_v, top_v, vertex_set_v, s_v, lhs_v = read(mat.v)
+    count_u, *checks_u = judge(mat.u, flags_u, mat.u_levels)
+    count_v, *checks_v = judge(mat.v, flags_v, mat.v_levels)
+    blockwise, initial_match, standard_form = map(all, zip(checks_u, checks_v))
     messages: list[str] = []
     nonzero = bool(count_u) and bool(count_v)
     if not nonzero:
         messages.append("an operator materialized to zero (depth far below the word lengths?)")
-    orthogonal = image_u.isdisjoint(image_v)
     if not orthogonal:
         messages.append("U*V has a nonzero entry")
-
-    initial_levels = ids(dict.fromkeys(initial_set, level))
-    initial_match = all(
-        s is not None and is_block(len(s[0]), s[1], initial_levels) for s in (s_u, s_v)
-    )
     if not initial_match:
         messages.append("compressed initial projections disagree")
-
-    blockwise = (
-        injective_u
-        and injective_v
-        and is_block(count_u, top_u, ids(mat.u_levels))
-        and is_block(count_v, top_v, ids(mat.v_levels))
-    )
     if not blockwise:
         messages.append("blockwise initial projection identity fails")
-
-    if b.graph.family is None:
-        rhs_u, rhs_v = (None if s is None else s[0] for s in (s_u, s_v))
-    else:
-        # the right-hand side is all of E_m, which holds every range read above
-        rhs_u, rhs_v = lhs_u, lhs_v
-    if lhs_u is None or lhs_v is None or rhs_u is None or rhs_v is None:
+    # on a family window the right-hand side is all of E_m, which holds every range
+    family = b.graph.family is not None
+    diagonal = flags_u["diagonal"] and flags_v["diagonal"]
+    if not (flags_u["ranges"] and flags_v["ranges"] and (family or diagonal)):
         range_condition = False
         messages.append("a range or initial projection is not a 0/1 diagonal")
     else:
-        range_condition = lhs_u.issubset(rhs_u) and lhs_v.issubset(rhs_v)
+        range_condition = family or flags_u["contained"] and flags_v["contained"]
         if not range_condition:
             messages.append("a range projection escapes the initial projection")
-
-    standard_form = vertex_set_u == {x for x, m in mat.u_levels.items() if m >= 0} and (
-        vertex_set_v == {x for x, m in mat.v_levels.items() if m >= 0}
-    )
     if not standard_form:
         messages.append("standard-form decomposition does not match the predicted vertex set")
 

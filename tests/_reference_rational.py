@@ -25,6 +25,7 @@ from partlyfree import fock
 from partlyfree.fock import FockBasis, _check_path, left_map
 from partlyfree.graphs import GraphError
 from partlyfree.paths import Path, literal, path_from_literal, unit
+from reference import child
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
@@ -92,7 +93,7 @@ def right_op(b: FockBasis, w: Path) -> SparseOp:
         image = rows.get(i)
         if image is not None:
             for e in out_edges[b.target[i]]:
-                rows[b.child(i, e.name)] = b.child(image, e.name)
+                rows[child(b, i, e.name)] = child(b, image, e.name)
     one = Fraction(1)
     return SparseOp(b, {(row, col): one for col, row in rows.items()})
 

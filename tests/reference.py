@@ -1,7 +1,8 @@
 """Test-only references, outside the package.
 
 The CLI and the paper's examples need none of these; tests use them as
-independent references.  For the integer verification path: ``SparseOp``
+independent references.  For the trie: the step from a path to its
+child along one edge.  For the integer verification path: ``SparseOp``
 projections and sums, the partial-isometry report, the left-factor test
 of two paths, and the bounded isometry search on ``SparseOp`` products.
 For the integer graph index: the name-keyed graph algorithms it replaced
@@ -34,6 +35,14 @@ from partlyfree.graphs import (
 from partlyfree.oracle import CYCLE_SEARCH_BUDGET, SearchHit, _candidate_operators
 from partlyfree.pairs import Summand
 from partlyfree.paths import Path, unit
+
+
+def child(b: FockBasis, i: int, e: str) -> int:
+    """Ordinal of path i followed by edge e; e must start at the range
+    of path i, which must be shorter than the depth."""
+    g = b.graph
+    k = g.eid[e]
+    return b.offsets[1] + k if i < b.offsets[1] else b.first_child[i] + g.edge_rank[k]
 
 
 def source_projection(b: FockBasis, x: str) -> SparseOp:

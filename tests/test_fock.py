@@ -27,11 +27,12 @@ from partlyfree import (
     word,
 )
 
-from partlyfree import catalog, fock
+from partlyfree import catalog, fock, pairs
 from partlyfree.oracle import random_graph
 
 from conftest import cycle_graph
 from reference import (
+    child,
     interior_projection,
     partial_isometry_report,
     source_projection,
@@ -143,7 +144,7 @@ def test_trie_past_one_byte_vertex_ids():
     index = {p: i for i, p in enumerate(ref)}
     for i, p in enumerate(ref[: b.offsets[3]]):
         for e in g.out_edges(p.target):
-            assert b.child(i, e.name) == index[Path(p.source, e.dst, p.edges + (e.name,))]
+            assert child(b, i, e.name) == index[Path(p.source, e.dst, p.edges + (e.name,))]
 
 
 def test_trie_levels_longer_than_a_chunk(monkeypatch):
@@ -186,6 +187,27 @@ def test_build_basis_peak_memory_is_bounded(two_loops):
     assert b.dim == 2**19 - 1
     assert kept / b.dim < 10
     assert peak / b.dim < 12
+
+
+def test_verify_peak_memory_follows_the_basis(two_loops):
+    """The runs keep 8 bytes per entry (two ``array("i")``), about 3 bytes
+    per path on ``n_loops(2)`` unital, whose runs hold 0.37 entries per
+    path; ``materialize`` and ``verify_pair`` add sets no larger than a
+    window on top (the runs took 26 bytes per path as Python int lists,
+    and ``verify_pair``'s whole-image sets 24 more)."""
+    pair = pairs.construct_pair(two_loops, "unital")
+    b = build_basis(two_loops, 18)
+    tracemalloc.start()
+    try:
+        mat = pairs.materialize(pair, b)
+        kept = tracemalloc.get_traced_memory()[0]
+        report = pairs.verify_pair(mat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert kept / b.dim < 4
+    assert peak / b.dim < 8
 
 
 # ---------------------------------------------------------------- generators

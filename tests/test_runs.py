@@ -6,6 +6,7 @@ report, on constructed pairs and on mutations of them."""
 
 import random
 from bisect import bisect_left
+from contextlib import contextmanager, nullcontext
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +26,7 @@ from partlyfree import (
     materialize,
     verify_materialized,
 )
+from partlyfree import fock, pairs
 from partlyfree.fock import BasisCapError, left_runs
 from partlyfree.oracle import random_graph
 from partlyfree.pairs import PairConstructionError
@@ -209,41 +211,64 @@ def _check_same(pair, b):
     return new
 
 
-@settings(max_examples=500, deadline=None)
-@given(
-    st.one_of(
-        st.tuples(
-            st.just(_finite_case),
-            st.integers(0, 2**32),
-            st.sampled_from(FINITE_MODES),
-            st.integers(0, 2),
-            st.sampled_from(MUTATIONS),
-        ),
-        st.tuples(
-            st.just(_window_case),
-            st.sampled_from(WINDOW_FAMILIES),
-            st.integers(2, 5),
-            st.integers(0, 8),
-            st.sampled_from(MUTATIONS),
-            st.integers(0, 2**32),
-        ),
-    )
+CASES = st.one_of(
+    st.tuples(
+        st.just(_finite_case),
+        st.integers(0, 2**32),
+        st.sampled_from(FINITE_MODES),
+        st.integers(0, 2),
+        st.sampled_from(MUTATIONS),
+    ),
+    st.tuples(
+        st.just(_window_case),
+        st.sampled_from(WINDOW_FAMILIES),
+        st.integers(2, 5),
+        st.integers(0, 8),
+        st.sampled_from(MUTATIONS),
+        st.integers(0, 2**32),
+    ),
 )
+
+
+@contextmanager
+def _tiny_chunks_and_windows():
+    """``fock.RUN_CHUNK`` at 1 and ``pairs.WINDOW`` at 3, so that every
+    run crosses chunk and window bounds."""
+    saved = fock.RUN_CHUNK, pairs.WINDOW
+    fock.RUN_CHUNK, pairs.WINDOW = 1, 3
+    try:
+        yield
+    finally:
+        fock.RUN_CHUNK, pairs.WINDOW = saved
+
+
+def _check_drawn(drawn, context=nullcontext):
+    make, *args = drawn
+    case = make(*args)
+    if case is not None:
+        with context():
+            _check_same(*case)
+
+
+@settings(max_examples=500, deadline=None)
+@given(CASES)
 def test_verify_matches_reference(drawn):
     """The run-based verification returns the reference's report, or
     raises its error, on constructed pairs on random graphs at depths L,
     L + 1 and L + 2 and on windowed family pairs at every depth, each
     mutated or not."""
-    make, *args = drawn
-    case = make(*args)
-    if case is not None:
-        _check_same(*case)
+    _check_drawn(drawn)
 
 
-def test_every_verification_message_is_reached():
-    """On a fixed corpus of constructed and mutated pairs the run-based
-    verification and the reference agree, and every message of
-    ``verify_pair`` appears, so each failing branch is exercised."""
+@settings(max_examples=500, deadline=None)
+@given(CASES)
+def test_verify_matches_reference_across_chunks_and_windows(drawn):
+    """The same, with runs filled one column at a time and identities
+    decided three ordinals at a time."""
+    _check_drawn(drawn, _tiny_chunks_and_windows)
+
+
+def _check_every_message(context=nullcontext):
     reached = set()
     reports = errors = 0
     cases = [
@@ -253,8 +278,10 @@ def test_every_verification_message_is_reached():
         for extra in range(3)
         for kind in MUTATIONS
     ]
-    for case in [c for c in cases if c is not None] + list(_window_cases()):
-        out = _check_same(*case)
+    cases = [c for c in cases if c is not None] + list(_window_cases())
+    with context():
+        outcomes = [_check_same(*case) for case in cases]
+    for out in outcomes:
         if isinstance(out, tuple):
             errors += 1
         else:
@@ -262,6 +289,20 @@ def test_every_verification_message_is_reached():
             reached.update(out.messages)
     assert reached == set(MESSAGES)
     assert errors and reports > 1000
+
+
+def test_every_verification_message_is_reached():
+    """On a fixed corpus of constructed and mutated pairs the run-based
+    verification and the reference agree, and every message of
+    ``verify_pair`` appears, so each failing branch is exercised."""
+    _check_every_message()
+
+
+def test_every_verification_message_is_reached_across_chunks_and_windows():
+    """The same, with runs filled one column at a time and identities
+    decided three ordinals at a time, so that each failing branch is
+    decided across windows."""
+    _check_every_message(_tiny_chunks_and_windows)
 
 
 # ---------------------------------------------------------------- runs
@@ -344,7 +385,7 @@ def test_materialize_runs_match_per_word_runs():
             assert mat.v == tuple(left_map(b, s.word) for s in pair.v_summands)
             for side in (mat.u, mat.v):
                 for cols, rows in side:
-                    assert cols == sorted(set(cols)) and rows == sorted(set(rows))
+                    assert list(cols) == sorted(set(cols)) and list(rows) == sorted(set(rows))
                     assert bisect_left(cols, b.offsets[1]) == 1
             checked += 1
     for name in catalog.FAMILY_NAMES:
