@@ -57,14 +57,6 @@ from .pairs import (
     verify_materialized,
     verify_pair,
 )
-from .paths import (
-    Path,
-    compose,
-    enumerate_paths,
-    literal,
-    path_from_literal,
-    unit,
-    word,
-)
+from .paths import Path, compose, enumerate_paths, literal, path_from_literal, unit, word
 
 __all__ = [name for name in dir() if not name.startswith("_")]

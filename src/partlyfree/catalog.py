@@ -194,9 +194,7 @@ def _cycle(n: Optional[int]) -> CatalogEntry:
         raise GraphError("cycle needs n >= 1")
     _check_size(f"cycle({n})", 2 * n)
     vertices = tuple(f"x{k}" for k in range(1, n + 1))
-    edges = tuple(
-        Edge(f"e{k}", f"x{k}", f"x{k % n + 1}") for k in range(1, n + 1)
-    )
+    edges = tuple(Edge(f"e{k}", f"x{k}", f"x{k % n + 1}") for k in range(1, n + 1))
     return CatalogEntry(
         f"cycle({n})",
         "finite",
@@ -223,13 +221,9 @@ def _two_vertex_multi(k: Optional[int]) -> CatalogEntry:
 
 def _ray_certificate(family: str, start: int) -> InfinitePathCertificate:
     def prefix(m: int) -> tuple[Edge, ...]:
-        return tuple(
-            Edge(_ie(k), _ix(k), _ix(k + 1)) for k in range(start, start + m)
-        )
+        return tuple(Edge(_ie(k), _ix(k), _ix(k + 1)) for k in range(start, start + m))
 
-    return InfinitePathCertificate(
-        family, f"follow the edge ray upward from {_ix(start)}", prefix
-    )
+    return InfinitePathCertificate(family, f"follow the edge ray upward from {_ix(start)}", prefix)
 
 
 def _line_window_pair(indices: list[int]) -> list[tuple[str, tuple[str, ...], tuple[str, ...]]]:
@@ -371,10 +365,7 @@ def _tree_gn(n: Optional[int], window: int = 3) -> CatalogEntry:
                 triples.append((src, u_edges, v_edges))
                 j += 1
             return triples
-        return [
-            ("x" + w, ("e1" + w,), ("e2" + w,))
-            for w in words_up_to(k - 1)
-        ]
+        return [("x" + w, ("e1" + w,), ("e2" + w,)) for w in words_up_to(k - 1)]
 
     def ray_prefix(m: int) -> tuple[Edge, ...]:
         return tuple(
@@ -503,25 +494,13 @@ def catalog_names() -> list[str]:
 
 
 DEFAULT_FINITE_NAMES = (
-    "single_loop",
-    "n_loops(2)",
-    "triangle_Lfree",
-    "partly_free_D",
-    "digraph_T",
-    "cycle(3)",
+    "single_loop", "n_loops(2)", "triangle_Lfree", "partly_free_D", "digraph_T", "cycle(3)",
     "two_vertex_multi(2)",
 )
 
 FAMILY_NAMES = (
-    "cycle_inf",
-    "int_line",
-    "int_line_loops",
-    "half_line_loops",
-    "tree_Gn(1)",
-    "tree_Gn(2)",
-    "star_in",
-    "zigzag",
-    "rationals_Q",
+    "cycle_inf", "int_line", "int_line_loops", "half_line_loops", "tree_Gn(1)", "tree_Gn(2)",
+    "star_in", "zigzag", "rationals_Q",
 )
 
 
@@ -551,11 +530,9 @@ def classify_family(name: str, window: Optional[int] = None) -> PropertyReport:
     )
 
 
-def _implications_hold(flags: dict, nonempty: bool = True) -> bool:
-    ok = True
-    if nonempty:
-        ok &= (not flags["uniform_double_cycle"]) or flags["has_double_cycle"]
-        ok &= (not flags["uniform_aperiodic_path"]) or flags["aperiodic_path"]
+def _implications_hold(flags: dict) -> bool:
+    ok = (not flags["uniform_double_cycle"]) or flags["has_double_cycle"]
+    ok &= (not flags["uniform_aperiodic_path"]) or flags["aperiodic_path"]
     ok &= flags["lg_partly_free"] == flags["aperiodic_path"]
     ok &= flags["lg_unitally_partly_free"] == flags["uniform_aperiodic_path"]
     ok &= flags["ag_partly_free"] == flags["has_double_cycle"]
@@ -597,13 +574,7 @@ def check_entry(name: str, depth: Optional[int] = None) -> EntryCheck:
         raise GraphError(f"depth {depth} is outside 0..{DEFAULT_BASIS_CAP}")
     checks: list[tuple[str, bool, str]] = []
 
-    checks.append(
-        (
-            "stored flags internally consistent",
-            _implications_hold(entry.expected_flags),
-            "",
-        )
-    )
+    checks.append(("stored flags internally consistent", _implications_hold(entry.expected_flags), ""))
 
     if entry.kind == "finite":
         computed = classify_finite(entry.graph).flags()
@@ -713,16 +684,7 @@ def verify_cycle_pattern(n: int, depth: int, seed: int = DEFAULT_SEED) -> bool:
     return all(cycle_residue_conforms(n, fourier_coefficients(a)) for a in elements)
 
 
-@dataclass(frozen=True)
-class StructureCheck:
-    checks: tuple[tuple[str, bool, str], ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(ok for _, ok, _ in self.checks)
-
-
-def verify_structure_examples(depth: int, seed: int = DEFAULT_SEED) -> StructureCheck:
+def verify_structure_examples(depth: int, seed: int = DEFAULT_SEED) -> EntryCheck:
     """Check the two matrix identifications of the small finite examples.
 
     triangle_Lfree: in the block decomposition by the two vertex
@@ -785,7 +747,7 @@ def verify_structure_examples(depth: int, seed: int = DEFAULT_SEED) -> Structure
     }
     ok = x.entries == expected
     checks.append(("fork: 5x5 matrix matches the displayed pattern", ok, ""))
-    return StructureCheck(tuple(checks))
+    return EntryCheck("structure examples", tuple(checks))
 
 
 def commutant_check(g: Graph, depth: int, seed: int = DEFAULT_SEED) -> bool:
@@ -794,10 +756,10 @@ def commutant_check(g: Graph, depth: int, seed: int = DEFAULT_SEED) -> bool:
     transpose graph under word reversal."""
     basis = build_basis(g, depth)
     gens = [unit(g, v) for v in g.vertices] + [word(g, (e.name,)) for e in g.edges]
+    rights = [right_op(basis, b) for b in gens]
     for a in gens:
         la = left_op(basis, a)
-        for b in gens:
-            rb = right_op(basis, b)
+        for rb in rights:
             if la * rb != rb * la:
                 return False
     rng = random.Random(seed)

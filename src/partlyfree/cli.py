@@ -306,22 +306,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="construct (or load) a pair and verify it exactly")
     p.add_argument("graph")
-    p.add_argument(
-        "--mode",
-        choices=MODES,
-        default="double-cycle",
-    )
+    p.add_argument("--mode", choices=MODES, default="double-cycle")
     p.add_argument("--pair", default=None, help="verify a pair JSON file instead of constructing")
     add_common(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("construct", help="emit a pair description as JSON")
     p.add_argument("graph")
-    p.add_argument(
-        "--mode",
-        choices=MODES,
-        default="double-cycle",
-    )
+    p.add_argument("--mode", choices=MODES, default="double-cycle")
     p.add_argument("--window", type=int, default=None)
     p.set_defaults(func=_cmd_construct)
 

@@ -34,16 +34,22 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
-from struct import pack
-from typing import Iterator, Mapping, Optional, Sequence
+from itertools import accumulate, chain, repeat
+from operator import mul
+from struct import Struct, pack
+from sys import byteorder
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .graphs import Graph, GraphError
 from .paths import Path, enumerate_paths, literal, unit
 
 DEFAULT_BASIS_CAP = 2_000_000
-CHUNK = 1 << 10  # parents per chunk of a level in build_basis
+MAX_PATHS = (1 << 31) - 1  # ordinals and first children are int32
+CHUNK = 1 << 10  # parents per chunk of a level built path by path
+PIECE = 1 << 14  # int32 lanes per piece of a memo block in build_basis
+MEMO_COST = 16  # paths that one step of the memo costs per vertex and edge
 RUN_CHUNK = 1 << 12  # scanned columns per chunk of left_runs
+_LANE = Struct("i").pack
 
 
 class BasisCapError(GraphError):
@@ -69,7 +75,7 @@ class FockBasis:
       k = 0..depth + 1, so ``offsets[depth + 1] == dim``;
     * ``target[i]``: the vertex id of the range of path i;
     * ``first_child[i]``: for 1 <= len(path i) < depth, the ordinal of its
-      first child (units hold an unused 0).
+      first child (units hold an unused 0); both are ``array("i")``.
 
     ``paths`` is a cached view: the tuple of :class:`Path` objects in
     ordinal order, built on first read and then kept.
@@ -176,15 +182,34 @@ class FockBasis:
 def build_basis(g: Graph, depth: int, cap: int = DEFAULT_BASIS_CAP) -> FockBasis:
     """Build the depth-N truncation level by level, refusing absurd dimensions.
 
-    A level past the first is built ``CHUNK`` parents at a time: their
-    first children, a running sum of out-degrees, give the size the level
-    reaches, which is checked against the cap before their children (the
-    join of each target's heads, kept as the bytes of an ``array("i")``)
-    are added; so a runaway graph is refused before memory runs out.
+    Let sigma^m(x) be the targets of the paths of length m from vertex x
+    in ordinal order; sigma^1(x) is ``heads[x]``, the heads of the
+    out-edges of x by rank.  Children follow their parents' order,
+    siblings by rank, and a path of length m + 1 from x is an out-edge to
+    a head h and a path of length m from h.  So (1) sigma^(m+1)(x) is the
+    join of sigma^m(h) over the heads h of x, and (2) level a + m is the
+    join of sigma^m(t) over the targets t of level a; level k is the join
+    of sigma^(k-1)(dst e) over the edges e.
 
-    The arrays take at most 12 bytes per path (a 4-byte target and an
-    8-byte first child), about 24 MB at the default cap of 2,000,000
-    paths; the runs of :func:`left_runs` add 8 bytes per entry.
+    In (2) the paths of level a + m - 1 below a path of level a ending at
+    t are sigma^(m-1)(t), and their children the block sigma^m(t).  Let
+    fc^m(x) be the first children of sigma^(m-1)(x) relative to the start
+    of sigma^m(x); fc^1(x) = (0).  By (1) the paths of sigma^m(x) and their
+    children are grouped alike by their first edge, so (3) fc^(m+1)(x) is
+    the join of fc^m(h) over the heads h of x, each raised by the sizes of
+    sigma^m of the heads before h; and the first children of level
+    a + m - 1 are the join of fc^m(t) over the targets t of level a, each
+    raised by the start of its block (:func:`_raised`).
+
+    Level a is the *anchor*.  A level of at most ``MEMO_COST`` (|V| + |E|)
+    paths becomes the next anchor, and the next level is built path by
+    path (m = 1), ``CHUNK`` parents at a time.  After a longer level the
+    memo of sigma^m and fc^m, for all vertices in pieces of at most
+    ``PIECE`` lanes, takes a step of (1) and (3), O(|V| + |E|) work paid
+    by that level; the next level is a join and a sum over the anchor,
+    which is shorter.  So the build takes O(dim + N) steps besides byte
+    copies.  Each level's size is checked against the cap, and 2**31 - 1,
+    before its paths are added, so a runaway graph is refused early.
     """
     if depth < 0:
         raise GraphError("depth must be >= 0")
@@ -193,39 +218,100 @@ def build_basis(g: Graph, depth: int, cap: int = DEFAULT_BASIS_CAP) -> FockBasis
         raise BasisCapError(
             f"depth {depth} is above the cap of {cap}; lower the depth or raise the cap"
         )
+    limit = min(cap, MAX_PATHS)
 
     def check(count: int) -> None:
-        if count > cap:
+        if count > limit:
             raise BasisCapError(
-                f"truncation needs more than {cap} basis paths; "
-                "lower the depth or raise the cap"
+                f"truncation needs more than {limit} basis paths; lower the depth"
+                + (" or raise the cap" if cap < MAX_PATHS else " (ordinals are int32)")
             )
 
-    vertices, start = g.vertex_name, g.out_start
-    heads = [array("i", g.out_head[start[v] : start[v + 1]]).tobytes() for v in range(len(vertices))]
-    degree = [b - a for a, b in zip(start, start[1:])]
+    vertices, start, head = g.vertex_name, g.out_start, g.out_head
     check(len(vertices))
     target = array("i", range(len(vertices)))
-    first_child = array("q", [0]) * len(vertices)
+    first_child = array("i", [0]) * len(vertices)
     offsets = [0, len(target)]
     if depth >= 1 and g.edges:
         check(len(target) + len(g.edges))
         target.extend(g.edge_dst)
         offsets.append(len(target))
+        room = MEMO_COST * len(target)
+        degree = [b - a for a, b in zip(start, start[1:])]
+        most = max(degree)
+        if depth >= 2:
+            lanes = array("i", head).tobytes()
+            heads = [lanes[4 * a : 4 * b] for a, b in zip(start, start[1:])]
         for _ in range(2, depth + 1):
             lo, hi = offsets[-2], offsets[-1]
-            for start in range(lo, hi, CHUNK):
-                parents = target[start : min(start + CHUNK, hi)]
-                # the parents' first children, then the end of the last one's children
-                children = list(accumulate(map(degree.__getitem__, parents), initial=len(target)))
-                check(children.pop())
-                first_child.fromlist(children)
-                target.frombytes(b"".join(map(heads.__getitem__, parents)))
+            if hi - lo <= room:
+                anchor, fc = target[lo:hi], None
+                if hi + (hi - lo) * most > limit:  # check the size before any of it is joined
+                    check(hi + sum(map(degree.__getitem__, anchor)))
+                for i in range(0, hi - lo, CHUNK):
+                    chunk = anchor[i : i + CHUNK]
+                    ends = list(accumulate(map(degree.__getitem__, chunk), initial=len(target)))
+                    ends.pop()
+                    first_child.fromlist(ends)
+                    target.frombytes(b"".join(map(heads.__getitem__, chunk)))
+            else:
+                if fc is None:  # sigma^1 and fc^1 as lists of pieces, and the heads of each vertex
+                    sig, size, fc = [[h] for h in heads], degree, [[bytes(4)]] * len(vertices)
+                    outs = [head[a:b] for a, b in zip(start, start[1:])]
+                # (3) and (1) for every vertex
+                raises = [accumulate(map(size.__getitem__, h), initial=0) for h in outs]
+                fc = [_raised([*map(fc.__getitem__, h)], r) for h, r in zip(outs, raises)]
+                size = [sum(map(size.__getitem__, h)) for h in outs]
+                sig = [_joined(chain.from_iterable(map(sig.__getitem__, h))) for h in outs]
+                # (2) over the anchor
+                ends = list(accumulate(map(size.__getitem__, anchor), initial=hi))
+                check(ends[-1])
+                for piece in _raised([*map(fc.__getitem__, anchor)], ends):
+                    first_child.frombytes(piece)
+                for piece in _joined(chain.from_iterable(map(sig.__getitem__, anchor))):
+                    target.frombytes(piece)
             if len(target) == hi:
                 break
             offsets.append(len(target))
     offsets += [len(target)] * (depth + 2 - len(offsets))
     return FockBasis(g, depth, vertices, tuple(offsets), target, first_child)
+
+
+def _raised(blocks: list[list[bytes]], starts: Iterable[int]) -> list[bytes]:
+    """The int32 lanes of ``blocks``, lists of pieces, each block's lanes
+    raised by its start, in the pieces of :func:`_cuts`.  Each piece is one
+    sum of two big integers; no lane carries, as each sum is a first child,
+    at most the dimension, which :func:`build_basis` keeps below 2**31."""
+    pieces = [*chain.from_iterable(blocks)]
+    starts = [*map(_LANE, chain.from_iterable(map(repeat, starts, map(len, blocks))))]
+    lanes = [len(piece) >> 2 for piece in pieces]
+    out = []
+    for i, j in _cuts(lanes):
+        joined = b"".join(pieces[i:j])
+        total = int.from_bytes(joined, byteorder)
+        total += int.from_bytes(b"".join(map(mul, starts[i:j], lanes[i:j])), byteorder)
+        out.append(total.to_bytes(len(joined), byteorder))
+    return out
+
+
+def _joined(pieces: Iterable[bytes]) -> list[bytes]:
+    """The join of ``pieces`` in the pieces of :func:`_cuts`."""
+    pieces = [*pieces]
+    return [b"".join(pieces[i:j]) for i, j in _cuts([len(piece) >> 2 for piece in pieces])]
+
+
+def _cuts(lanes: list[int]) -> list[tuple[int, int]]:
+    """Runs ``[i, j)`` of consecutive pieces of ``lanes`` int32 lanes, of at
+    most ``PIECE`` lanes or one longer piece.  A piece of at most 64 KiB is
+    below the 128 KiB from which glibc's malloc maps memory, so freeing one
+    never raises that threshold, which would keep later large arrays in
+    the heap, where their memory is not returned when they are freed."""
+    ends = [*accumulate(lanes, initial=0)]
+    cuts = [0]
+    while cuts[-1] < len(lanes):
+        i = cuts[-1]
+        cuts.append(max(i + 1, bisect_right(ends, ends[i] + PIECE) - 1))
+    return [*zip(cuts, cuts[1:])]
 
 
 class SparseOp:
@@ -279,9 +365,6 @@ class SparseOp:
             return NotImplemented
         return self.entries == other.entries
 
-    def __hash__(self):
-        raise TypeError("SparseOp is not hashable")
-
     def __add__(self, other: "SparseOp") -> "SparseOp":
         self._check_same_basis(other)
         a, b = self.entries, other.entries
@@ -332,15 +415,6 @@ class SparseOp:
 
     def adjoint(self) -> "SparseOp":
         return SparseOp._nonzero(self.basis, {(c, r): v for (r, c), v in self.entries.items()})
-
-    def diagonal_01_support(self) -> Optional[frozenset[int]]:
-        """Support of a 0/1 diagonal matrix, or None if not of that form."""
-        support = set()
-        for (r, c), v in self.entries.items():
-            if r != c or v != 1:
-                return None
-            support.add(r)
-        return frozenset(support)
 
     def __repr__(self):
         return f"SparseOp(dim={self.basis.dim}, nnz={self.nnz})"

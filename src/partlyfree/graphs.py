@@ -124,11 +124,8 @@ class Graph:
     The id lists take an 8-byte slot per entry: three per vertex and six
     per edge, and one more of each kind once ``components`` and
     ``edge_rank`` are read; the ids are int objects shared by all of them.
-    With the two name maps and the two sorted tuples, a cycle of 100,000
-    vertices keeps 261 bytes per vertex and edge on top of its names and
-    ``Edge`` tuples, and peaks at 352 while the index is built, against
-    333 and 642 for the name-keyed sets, dicts and sorted ``Edge`` tuples
-    that the index replaced (tracemalloc, Python 3.11).
+    A cycle of 100,000 vertices keeps 261 bytes per vertex and edge on top
+    of its names and ``Edge`` tuples (tracemalloc, Python 3.11).
     """
 
     vertices: tuple[str, ...]
@@ -187,20 +184,14 @@ class Graph:
         except KeyError:
             raise GraphError(f"unknown edge {name!r}") from None
 
-    def _adjacent(self, v: str, start: list[int], ids: list[int]) -> tuple[Edge, ...]:
+    def out_edges(self, v: str) -> tuple[Edge, ...]:
+        """The edges with source ``v``, in name order."""
         try:
             i = self.vid[v]
         except KeyError:
             raise GraphError(f"unknown vertex {v!r}") from None
-        return tuple(map(self.edge_by_id.__getitem__, ids[start[i] : start[i + 1]]))
-
-    def out_edges(self, v: str) -> tuple[Edge, ...]:
-        """The edges with source ``v``, in name order."""
-        return self._adjacent(v, self.out_start, self.out_edge)
-
-    def in_edges(self, v: str) -> tuple[Edge, ...]:
-        """The edges with range ``v``, in name order."""
-        return self._adjacent(v, self.in_start, self.in_edge)
+        start = self.out_start
+        return tuple(map(self.edge_by_id.__getitem__, self.out_edge[start[i] : start[i + 1]]))
 
 
 def _first_invalid_vertex(declared: dict[str, int]) -> Optional[GraphError]:
@@ -677,9 +668,7 @@ def classify_finite(g: Graph) -> PropertyReport:
     transpose_uniform = has_dc and len(_reached_from(g, bases)) == len(g.vertices)
     warnings = ()
     if not g.vertices:
-        warnings = (
-            "empty vertex set: uniform properties are vacuously true but reported false",
-        )
+        warnings = ("empty vertex set: uniform properties are vacuously true but reported false",)
     return PropertyReport(
         has_double_cycle=has_dc,
         double_cycle_witness=witness,

@@ -162,9 +162,7 @@ def random_graph(rng: random.Random, max_vertices: int = 8, max_edges: int = 16)
     n = rng.randint(1, max_vertices)
     vertices = tuple(f"v{i}" for i in range(n))
     m = rng.randint(0, max_edges)
-    edges = tuple(
-        Edge(f"e{j}", rng.choice(vertices), rng.choice(vertices)) for j in range(m)
-    )
+    edges = tuple(Edge(f"e{j}", rng.choice(vertices), rng.choice(vertices)) for j in range(m))
     return Graph(vertices, edges)
 
 

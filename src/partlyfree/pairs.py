@@ -56,12 +56,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Iterator, Sequence
 
 from .fock import FockBasis, Run, left_runs
-from .graphs import (
-    DoubleCycleWitness,
-    Graph,
-    GraphError,
-    double_cycle_witnesses,
-)
+from .graphs import DoubleCycleWitness, Graph, GraphError, double_cycle_witnesses
 from .paths import Path, literal, path_from_literal, word
 
 MODES = ("double-cycle", "infinite-path", "unital", "quiver")
@@ -267,9 +262,7 @@ def construct_pair_double_cycle(g: Graph) -> FormalIsometryPair:
     dist = _reverse_distances(g, g.vid[witness.base])
     members = sorted(dist)
     us, vs = _part_summands(g, witness, members, dist)
-    pair = FormalIsometryPair(
-        "double-cycle", tuple(us), tuple(vs), frozenset(s.source for s in us)
-    )
+    pair = FormalIsometryPair("double-cycle", tuple(us), tuple(vs), frozenset(s.source for s in us))
     _formally_orthogonal(pair)
     return pair
 
@@ -342,9 +335,7 @@ def construct_pair_infinite_path(g: Graph) -> FormalIsometryPair:
         )
     us = tuple(Summand(src, word(g, u_edges)) for src, u_edges, _ in triples)
     vs = tuple(Summand(src, word(g, v_edges)) for src, _, v_edges in triples)
-    pair = FormalIsometryPair(
-        "infinite-path", us, vs, frozenset(s.source for s in us)
-    )
+    pair = FormalIsometryPair("infinite-path", us, vs, frozenset(s.source for s in us))
     _formally_orthogonal(pair)
     return pair
 

@@ -1,15 +1,16 @@
 """Test-only references, outside the package.
 
 The CLI and the paper's examples need none of these; tests use them as
-independent references.  For the trie: the step from a path to its
-child along one edge.  For the integer verification path: ``SparseOp``
-projections and sums, the partial-isometry report, the left-factor test
-of two paths, and the bounded isometry search on ``SparseOp`` products.
-For the integer graph index: the name-keyed graph algorithms it replaced
-(components, witness search, reachability, reverse distances, the
-summand walk and Johnson's simple-cycle search) and the bounded
-first-return enumeration, which compare names and ``Edge`` tuples where
-the package compares ids.  The graph algorithms are kept word for word,
+independent references.  For the trie: the basis built path by path
+and the step from a path to its child along one edge.  For the integer
+verification path: ``SparseOp`` projections and sums, the 0/1-diagonal
+support, the partial-isometry report, the left-factor test of two paths,
+and the bounded isometry search on ``SparseOp`` products.  For the
+integer graph index: the in-edges of a vertex, the name-keyed graph
+algorithms it replaced (components, witness search, reachability,
+reverse distances, the summand walk and Johnson's simple-cycle search)
+and the bounded first-return enumeration, which compare names and
+``Edge`` tuples where the package compares ids.  The graph algorithms are kept word for word,
 except that the components read ``set(g.vertices)`` where they read a
 vertex set the graph no longer stores.  Run through pytest, which puts
 ``tests/`` on the import path.
@@ -18,14 +19,26 @@ vertex set the graph no longer stores.  Run through pytest, which puts
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import AbstractSet, Iterable, Optional, Sequence
 
-from partlyfree.fock import FockBasis, SparseOp, build_basis, left_op, length_projection, right_op
+from partlyfree.fock import (
+    DEFAULT_BASIS_CAP,
+    BasisCapError,
+    FockBasis,
+    SparseOp,
+    build_basis,
+    left_op,
+    length_projection,
+    right_op,
+)
 from partlyfree.graphs import (
     CycleWitness,
     DoubleCycleWitness,
+    Edge,
     Graph,
     GraphError,
     PropertyReport,
@@ -37,12 +50,72 @@ from partlyfree.pairs import Summand
 from partlyfree.paths import Path, unit
 
 
+def build_basis_by_parents(g: Graph, depth: int, cap: int = DEFAULT_BASIS_CAP) -> FockBasis:
+    """The basis of :func:`fock.build_basis`, built path by path: each
+    level past the first is the join of the heads of its parents'
+    targets, and the parents' first children are the running sums of
+    their out-degrees.  The cap is checked on each level's size before
+    the level is joined; ``first_child`` is an ``array("q")``."""
+    if depth < 0:
+        raise GraphError("depth must be >= 0")
+    if depth > cap:
+        raise BasisCapError(
+            f"depth {depth} is above the cap of {cap}; lower the depth or raise the cap"
+        )
+
+    def check(count: int) -> None:
+        if count > cap:
+            raise BasisCapError(
+                f"truncation needs more than {cap} basis paths; lower the depth or raise the cap"
+            )
+
+    vertices, start = g.vertex_name, g.out_start
+    heads = [array("i", g.out_head[start[v] : start[v + 1]]).tobytes() for v in range(len(vertices))]
+    degree = [b - a for a, b in zip(start, start[1:])]
+    check(len(vertices))
+    target = array("i", range(len(vertices)))
+    first_child = array("q", [0]) * len(vertices)
+    offsets = [0, len(target)]
+    if depth >= 1 and g.edges:
+        check(len(target) + len(g.edges))
+        target.extend(g.edge_dst)
+        offsets.append(len(target))
+        for _ in range(2, depth + 1):
+            lo, hi = offsets[-2], offsets[-1]
+            parents = target[lo:hi]
+            children = list(accumulate(map(degree.__getitem__, parents), initial=hi))
+            check(children.pop())
+            first_child.fromlist(children)
+            target.frombytes(b"".join(map(heads.__getitem__, parents)))
+            if len(target) == hi:
+                break
+            offsets.append(len(target))
+    offsets += [len(target)] * (depth + 2 - len(offsets))
+    return FockBasis(g, depth, vertices, tuple(offsets), target, first_child)
+
+
 def child(b: FockBasis, i: int, e: str) -> int:
     """Ordinal of path i followed by edge e; e must start at the range
     of path i, which must be shorter than the depth."""
     g = b.graph
     k = g.eid[e]
     return b.offsets[1] + k if i < b.offsets[1] else b.first_child[i] + g.edge_rank[k]
+
+
+def diagonal_01_support(op: SparseOp) -> Optional[frozenset[int]]:
+    """Support of a 0/1 diagonal matrix, or None if not of that form."""
+    support = set()
+    for (r, c), v in op.entries.items():
+        if r != c or v != 1:
+            return None
+        support.add(r)
+    return frozenset(support)
+
+
+def in_edges(g: Graph, v: str) -> tuple[Edge, ...]:
+    """The edges with range ``v``, in name order, off the in-edge index."""
+    i = g.vid[v]
+    return tuple(map(g.edge_by_id.__getitem__, g.in_edge[g.in_start[i] : g.in_start[i + 1]]))
 
 
 def source_projection(b: FockBasis, x: str) -> SparseOp:
@@ -95,7 +168,7 @@ def partial_isometry_report(v: SparseOp) -> PartialIsometryReport:
         return PartialIsometryReport(False, "V*V is not idempotent", k, None, None, None)
     if k != k.adjoint():
         return PartialIsometryReport(False, "V*V is not self-adjoint", k, None, None, None)
-    support = k.diagonal_01_support()
+    support = diagonal_01_support(k)
     if support is None:
         return PartialIsometryReport(
             True, "initial projection is not 0/1 diagonal in the path basis", k, None, None, None
@@ -208,8 +281,8 @@ def reference_search(
                     profiles[i] = None
                 else:
                     uu_m = em * uu * em
-                    sup_init = uu_m.diagonal_01_support()
-                    sup_range = (em * (u * ua) * em).diagonal_01_support()
+                    sup_init = diagonal_01_support(uu_m)
+                    sup_range = diagonal_01_support(em * (u * ua) * em)
                     if sup_init is None or sup_range is None:
                         raise AssertionError("integer idempotent was not 0/1 diagonal")
                     profiles[i] = (u, ua, uu_m, sup_init, sup_range)
@@ -261,7 +334,7 @@ def _reaches(g: Graph, targets: frozenset[str]) -> frozenset[str]:
     frontier = list(targets)
     while frontier:
         v = frontier.pop()
-        for e in g.in_edges(v):
+        for e in in_edges(g, v):
             if e.src not in seen:
                 seen.add(e.src)
                 frontier.append(e.src)
@@ -377,7 +450,7 @@ def _shortlex_cycles(g: Graph, comp: tuple[str, ...], base: str) -> list[tuple[s
     while found < 2 and len(cycles) <= 2 * len(comp):
         level: dict[str, int] = {}
         for v, count in ways[-1].items():
-            for e in g.in_edges(v):
+            for e in in_edges(g, v):
                 if e.src in members:
                     level[e.src] = min(2, level.get(e.src, 0) + count)
         cycles.append(level.pop(base, 0))
@@ -485,7 +558,7 @@ def _reverse_distances(g: Graph, base: str) -> dict[str, int]:
     while frontier:
         level = []
         for v in frontier:
-            for e in g.in_edges(v):
+            for e in in_edges(g, v):
                 if e.src not in dist:
                     dist[e.src] = dist[v] + 1
                     level.append(e.src)

@@ -405,6 +405,16 @@ def test_depth_cap_guard(capsys):
     assert "cap" in err
 
 
+def test_int32_guard_ignores_a_larger_cap(capsys):
+    """Level 2 of n_loops(50000) has 2.5 * 10**9 paths, past int32 ordinals:
+    refused with one error line although the cap would allow it."""
+    code, out, err = run(
+        capsys, "fock", "n_loops(50000)", "--depth", "2", "--cap", "10000000000", "--op", "L:e"
+    )
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: truncation needs more than 2147483647")
+
+
 @pytest.mark.parametrize("term", ["R:g.f", "L:g.f"])
 def test_word_longer_than_depth_exports_zero(capsys, term):
     code, out, err = run(capsys, "fock", "partly_free_D", "--depth", "1", "--op", term)

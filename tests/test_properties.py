@@ -162,7 +162,7 @@ def _reference_checks(u, v, initial_set, level, u_levels, v_levels, range_set):
     """The identities verify_pair decides, computed instead with SparseOp
     products, compressions, diagonal supports and partial_isometry_report."""
     from partlyfree import SparseOp, length_projection
-    from reference import partial_isometry_report, sum_vertex_projection
+    from reference import diagonal_01_support, partial_isometry_report, sum_vertex_projection
 
     b = u.basis
     em = length_projection(b, level)
@@ -182,11 +182,11 @@ def _reference_checks(u, v, initial_set, level, u_levels, v_levels, range_set):
         "blockwise_exact": uu == block(u_levels) and vv == block(v_levels),
     }
     if range_set is None:
-        rhs_u, rhs_v = uu_m.diagonal_01_support(), vv_m.diagonal_01_support()
+        rhs_u, rhs_v = diagonal_01_support(uu_m), diagonal_01_support(vv_m)
     else:
-        rhs_u = rhs_v = (sum_vertex_projection(b, range_set) * em).diagonal_01_support()
-    lhs_u = (em * (u * u.adjoint()) * em).diagonal_01_support()
-    lhs_v = (em * (v * v.adjoint()) * em).diagonal_01_support()
+        rhs_u = rhs_v = diagonal_01_support(sum_vertex_projection(b, range_set) * em)
+    lhs_u = diagonal_01_support(em * (u * u.adjoint()) * em)
+    lhs_v = diagonal_01_support(em * (v * v.adjoint()) * em)
     checks["range_condition"] = (
         None not in (lhs_u, lhs_v, rhs_u, rhs_v) and lhs_u <= rhs_u and lhs_v <= rhs_v
     )
