@@ -19,10 +19,8 @@ from .fock import (
     fourier_coefficients,
     left_map,
     left_op,
-    length_projection,
     reconstruct,
     right_op,
-    vertex_projection,
 )
 from .graphs import (
     CycleWitness,
@@ -35,9 +33,6 @@ from .graphs import (
     classify_finite,
     double_cycle_witnesses,
     parse_graph,
-    render_graph,
-    saturation_vertices,
-    strongly_connected_components,
     to_dot,
     transpose,
 )
@@ -57,6 +52,6 @@ from .pairs import (
     verify_materialized,
     verify_pair,
 )
-from .paths import Path, compose, enumerate_paths, literal, path_from_literal, unit, word
+from .paths import Path, enumerate_paths, literal, path_from_literal, unit, word
 
 __all__ = [name for name in dir() if not name.startswith("_")]

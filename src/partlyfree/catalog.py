@@ -18,18 +18,10 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import chain
 from typing import Callable, Optional
 
-from .fock import (
-    DEFAULT_BASIS_CAP,
-    BasisCapError,
-    build_basis,
-    fourier_coefficients,
-    left_op,
-    right_op,
-    vertex_projection,
-)
+from .fock import DEFAULT_BASIS_CAP, BasisCapError, build_basis, left_op, right_op
 from .graphs import (
     Edge,
     Graph,
@@ -41,7 +33,7 @@ from .graphs import (
     transpose,
 )
 from .pairs import FormalIsometryPair, Summand, construct_pair, verify_materialized
-from .paths import Path, enumerate_paths, literal, unit, word
+from .paths import Path, enumerate_paths, unit, word
 
 DEFAULT_SEED = 1729
 
@@ -226,96 +218,67 @@ def _ray_certificate(family: str, start: int) -> InfinitePathCertificate:
     return InfinitePathCertificate(family, f"follow the edge ray upward from {_ix(start)}", prefix)
 
 
-def _line_window_pair(indices: list[int]) -> list[tuple[str, tuple[str, ...], tuple[str, ...]]]:
-    """Tail pair along an enumerated line window: k-th vertex maps to the
+def _line_window_pair(vertices: list[str], edges: list[str]) -> list[tuple[str, tuple[str, ...], tuple[str, ...]]]:
+    """Tail pair along a line window, given its vertex names along the ray
+    and the names of the edges between them: the k-th vertex maps to the
     (2k)-th and (2k+1)-th, with the connecting ray words as summands."""
-    triples = []
-    k = 1
-    while 2 * k + 1 <= len(indices):
-        src = indices[k - 1]
-        u_edges = tuple(_ie(i) for i in indices[k - 1 : 2 * k - 1])
-        v_edges = tuple(_ie(i) for i in indices[k - 1 : 2 * k])
-        triples.append((_ix(src), u_edges, v_edges))
-        k += 1
-    return triples
+    return [
+        (vertices[k - 1], tuple(edges[k - 1 : 2 * k - 1]), tuple(edges[k - 1 : 2 * k]))
+        for k in range(1, (len(vertices) - 1) // 2 + 1)
+    ]
 
 
-def _cycle_inf(window: Optional[int]) -> CatalogEntry:
-    window = 9 if window is None else window
-
-    def truncate(k: int) -> Graph:
-        _check_window("cycle_inf", k, 1, 2 * k - 1)
-        vertices = tuple(f"x{i}" for i in range(1, k + 1))
-        edges = tuple(Edge(f"e{i}", f"x{i}", f"x{i + 1}") for i in range(1, k))
-        return Graph(vertices, edges, family=("cycle_inf", k))
-
-    def window_pair(k: int):
-        return _line_window_pair(list(range(1, k + 1)))
-
-    return CatalogEntry(
-        "cycle_inf",
-        "family",
+# the lines: name -> (default window, two-way, a loop at every vertex,
+# hyper-reflexive, notes).  A window K has the vertices x1..xK, or xmK..xK
+# for a two-way line, the edge e_i from x_i to x_(i+1), and the loop w_i at x_i.
+_LINES = {
+    "cycle_inf": (
+        9, False, False, False,
         "one-way infinite line; unitally partly free though every finite cycle is not",
-        _flags(aperiodic=True, uniform_aperiodic=True, hyper=False, finite=False),
-        truncate=truncate,
-        default_window=window,
-        certificate=_ray_certificate("cycle_inf", 1),
-        window_pair=window_pair,
-    )
+    ),
+    "int_line": (
+        4, True, False, True,
+        "two-way infinite line; every saturation contains a proper infinite tail",
+    ),
+    "int_line_loops": (
+        4, True, True, True,
+        "two-way infinite line with a loop at every vertex; isomorphic to its own transpose; "
+        "every saturation contains a proper infinite tail",
+    ),
+    "half_line_loops": (
+        9, False, True, False,
+        "one-way infinite line with loops; unitally partly free, its transpose not even partly free",
+    ),
+}
 
 
-def _int_line(window: Optional[int], with_loops: bool) -> CatalogEntry:
-    window = 4 if window is None else window
-    name = "int_line_loops" if with_loops else "int_line"
+def _line(name: str, window: Optional[int]) -> CatalogEntry:
+    default, two_way, loops, hyper, notes = _LINES[name]
+
+    def ids(k: int) -> list[int]:
+        return list(range(-k, k + 1) if two_way else range(1, k + 1))
 
     def truncate(k: int) -> Graph:
-        _check_window(name, k, 0, (6 if with_loops else 4) * k + (2 if with_loops else 1))
-        ids = list(range(-k, k + 1))
-        vertices = tuple(_ix(i) for i in ids)
-        edges = [Edge(_ie(i), _ix(i), _ix(i + 1)) for i in ids[:-1]]
-        if with_loops:
-            edges += [Edge(f"w{_ix(i)[1:]}", _ix(i), _ix(i)) for i in ids]
-        return Graph(vertices, tuple(edges), family=(name, k))
+        n = 2 * k + 1 if two_way else k
+        _check_window(name, k, 0 if two_way else 1, n + (n - 1) + (n if loops else 0))
+        line = ids(k)
+        edges = [Edge(_ie(i), _ix(i), _ix(i + 1)) for i in line[:-1]]
+        if loops:
+            edges += [Edge(f"w{_ix(i)[1:]}", _ix(i), _ix(i)) for i in line]
+        return Graph(tuple(map(_ix, line)), tuple(edges), family=(name, k))
 
     def window_pair(k: int):
-        return _line_window_pair(list(range(-k, k + 1)))
+        line = ids(k)
+        return _line_window_pair([*map(_ix, line)], [*map(_ie, line)])
 
-    notes = "two-way infinite line"
-    if with_loops:
-        notes += " with a loop at every vertex; isomorphic to its own transpose"
     return CatalogEntry(
         name,
         "family",
-        notes + "; every saturation contains a proper infinite tail",
-        _flags(aperiodic=True, uniform_aperiodic=True, hyper=True, finite=False),
+        notes,
+        _flags(aperiodic=True, uniform_aperiodic=True, hyper=hyper, finite=False),
         truncate=truncate,
-        default_window=window,
-        certificate=_ray_certificate(name, 0),
-        window_pair=window_pair,
-    )
-
-
-def _half_line_loops(window: Optional[int]) -> CatalogEntry:
-    window = 9 if window is None else window
-
-    def truncate(k: int) -> Graph:
-        _check_window("half_line_loops", k, 1, 3 * k - 1)
-        vertices = tuple(f"x{i}" for i in range(1, k + 1))
-        edges = [Edge(f"e{i}", f"x{i}", f"x{i + 1}") for i in range(1, k)]
-        edges += [Edge(f"w{i}", f"x{i}", f"x{i}") for i in range(1, k + 1)]
-        return Graph(vertices, tuple(edges), family=("half_line_loops", k))
-
-    def window_pair(k: int):
-        return _line_window_pair(list(range(1, k + 1)))
-
-    return CatalogEntry(
-        "half_line_loops",
-        "family",
-        "one-way infinite line with loops; unitally partly free, its transpose not even partly free",
-        _flags(aperiodic=True, uniform_aperiodic=True, hyper=False, finite=False),
-        truncate=truncate,
-        default_window=window,
-        certificate=_ray_certificate("half_line_loops", 1),
+        default_window=default if window is None else window,
+        certificate=_ray_certificate(name, 0 if two_way else 1),
         window_pair=window_pair,
     )
 
@@ -355,16 +318,8 @@ def _tree_gn(n: Optional[int], window: int = 3) -> CatalogEntry:
         return Graph(vertices, edges, family=(f"tree_Gn({n})", k))
 
     def window_pair(k: int):
-        if n == 1:
-            triples = []
-            j = 1
-            while 2 * j + 1 <= k + 1:  # positions 1..k+1 along the single ray
-                src = "x" + "1" * (j - 1)
-                u_edges = tuple("e" + "1" * t for t in range(j, 2 * j))
-                v_edges = tuple("e" + "1" * t for t in range(j, 2 * j + 1))
-                triples.append((src, u_edges, v_edges))
-                j += 1
-            return triples
+        if n == 1:  # the line x, x1, x11, ... along the edges e1, e11, ...
+            return _line_window_pair(["x" + "1" * j for j in range(k + 1)], ["e" + "1" * t for t in range(1, k + 1)])
         return [("x" + w, ("e1" + w,), ("e2" + w,)) for w in words_up_to(k - 1)]
 
     def ray_prefix(m: int) -> tuple[Edge, ...]:
@@ -454,10 +409,7 @@ _BUILDERS: dict[str, Callable[[Optional[int]], CatalogEntry]] = {
     "digraph_T": lambda p: _require_no_param("digraph_T", p, _digraph_t),
     "cycle": _cycle,
     "two_vertex_multi": _two_vertex_multi,
-    "cycle_inf": _cycle_inf,
-    "int_line": lambda p: _int_line(p, with_loops=False),
-    "int_line_loops": lambda p: _int_line(p, with_loops=True),
-    "half_line_loops": _half_line_loops,
+    **{name: lambda p, name=name: _line(name, p) for name in _LINES},
     "tree_Gn": _tree_gn,
     "star_in": _star_in,
     "zigzag": _zigzag,
@@ -645,111 +597,6 @@ def example_pair_partly_free_D(g: Optional[Graph] = None) -> FormalIsometryPair:
     )
 
 
-def cycle_residue_conforms(n: int, table: dict) -> bool:
-    """Check the matrix-function pattern of the cycle algebra: a_w may be
-    nonzero only when |w| == (range index - source index) mod n.
-
-    Vertices of ``cycle(n)`` are named x1..xn; the support of any element
-    of the algebra must respect the grading because every path winds
-    monotonically around the cycle.
-    """
-    for path, coeff in table.items():
-        if not coeff:
-            continue
-        i = int(path.source[1:])
-        j = int(path.target[1:])
-        if (len(path) - (j - i)) % n != 0:
-            return False
-    return True
-
-
-def verify_cycle_pattern(n: int, depth: int, seed: int = DEFAULT_SEED) -> bool:
-    """Sample elements of the cycle algebra and check the residue pattern."""
-    if n < 1 or depth < n:
-        raise GraphError("verify_cycle_pattern needs n >= 1 and depth >= n")
-    g = builtin(f"cycle({n})").graph
-    basis = build_basis(g, depth)
-    elements = []
-    for w in enumerate_paths(g, min(3, depth)):
-        elements.append(left_op(basis, w))
-    rng = random.Random(seed)
-    gen_words = [unit(g, v) for v in g.vertices] + [word(g, (e.name,)) for e in g.edges]
-    for _ in range(20):
-        product = left_op(basis, rng.choice(gen_words))
-        for _ in range(rng.randint(1, depth - 1)):
-            product = product * left_op(basis, rng.choice(gen_words))
-        elements.append(product)
-        combo = Fraction(rng.randint(1, 9), rng.randint(1, 9)) * rng.choice(elements)
-        elements.append(combo + product)
-    return all(cycle_residue_conforms(n, fourier_coefficients(a)) for a in elements)
-
-
-def verify_structure_examples(depth: int, seed: int = DEFAULT_SEED) -> EntryCheck:
-    """Check the two matrix identifications of the small finite examples.
-
-    triangle_Lfree: in the block decomposition by the two vertex
-    projections, the y-corner of any algebra element is scalar, the
-    x-from-y corner vanishes, and the y-from-x corner is supported on
-    words through f with no constant term.
-
-    digraph_T: the general element a L_{x1} + b L_{x2} + c L_{x3} +
-    l L_e + m L_f at depth 1 is the familiar 5x5 matrix with diagonal
-    (a, b, c, b, c) and entries l, m in the first column.
-    """
-    checks: list[tuple[str, bool, str]] = []
-    if depth < 2:
-        raise GraphError("verify_structure_examples needs depth >= 2")
-
-    g = builtin("triangle_Lfree").graph
-    basis = build_basis(g, depth)
-    rng = random.Random(seed)
-    elements = [left_op(basis, w) for w in enumerate_paths(g, min(4, depth))]
-    for _ in range(10):
-        a, b = rng.choice(elements), rng.choice(elements)
-        elements.append(Fraction(rng.randint(1, 5)) * a + b)
-    px = vertex_projection(basis, "x")
-    py = vertex_projection(basis, "y")
-    corner_scalar = True
-    corner_zero = True
-    corner_hinf0 = True
-    for a in elements:
-        yy = fourier_coefficients(py * a * py)
-        corner_scalar &= all(w.is_unit and w.source == "y" for w in yy)
-        corner_zero &= (px * a * py).is_zero()
-        yx = fourier_coefficients(py * a * px)
-        corner_hinf0 &= all(
-            len(w) >= 1 and w.source == "x" and w.target == "y" and w.edges[-1] == "f"
-            for w in yx
-        )
-    checks.append(("triangle: y-corner is scalar", corner_scalar, ""))
-    checks.append(("triangle: x-from-y corner vanishes", corner_zero, ""))
-    checks.append(("triangle: y-from-x corner lies in f * H_inf", corner_hinf0, ""))
-
-    g5 = builtin("digraph_T").graph
-    b5 = build_basis(g5, 1)
-    a, b, c, l, m = (Fraction(v) for v in (1, 2, 3, 4, 5))
-    x = (
-        a * vertex_projection(b5, "x1")
-        + b * vertex_projection(b5, "x2")
-        + c * vertex_projection(b5, "x3")
-        + l * left_op(b5, word(g5, ("e",)))
-        + m * left_op(b5, word(g5, ("f",)))
-    )
-    idx = {literal(p): i for i, p in enumerate(b5.paths)}
-    expected = {
-        (idx["@x1"], idx["@x1"]): a,
-        (idx["@x2"], idx["@x2"]): b,
-        (idx["@x3"], idx["@x3"]): c,
-        (idx["e"], idx["e"]): b,
-        (idx["f"], idx["f"]): c,
-        (idx["e"], idx["@x1"]): l,
-        (idx["f"], idx["@x1"]): m,
-    }
-    ok = x.entries == expected
-    checks.append(("fork: 5x5 matrix matches the displayed pattern", ok, ""))
-    return EntryCheck("structure examples", tuple(checks))
-
-
 def commutant_check(g: Graph, depth: int, seed: int = DEFAULT_SEED) -> bool:
     """L_a R_b == R_b L_a exactly, for all generators and sampled words,
     and the right regular representation matches the left one of the
@@ -770,12 +617,11 @@ def commutant_check(g: Graph, depth: int, seed: int = DEFAULT_SEED) -> bool:
         if la * rb != rb * la:
             return False
 
-    gt = transpose(g)
-    basis_t = build_basis(gt, depth)
-    perm = {
-        i: basis_t.ordinal(Path(p.target, p.source, tuple(reversed(p.edges))))
-        for i, p in enumerate(basis.paths)
-    }
+    basis_t = build_basis(transpose(g), depth)
+    # a path and its reversal in the transpose have reversed literals, and
+    # the same length; a unit's literal is its own
+    index = {lit: i for i, lit in enumerate(chain.from_iterable(basis_t.literal_levels()))}
+    perm = [index[b".".join(lit.split(b".")[::-1])] for lit in chain.from_iterable(basis.literal_levels())]
     for w in gens + [rng.choice(words) for _ in range(10)]:
         rw = right_op(basis, w)
         lw_t = left_op(basis_t, Path(w.target, w.source, tuple(reversed(w.edges))))

@@ -33,15 +33,14 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from itertools import accumulate, chain, repeat
-from operator import mul
+from operator import lt, mul
 from struct import Struct, pack
 from sys import byteorder
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .graphs import Graph, GraphError
-from .paths import Path, enumerate_paths, literal, unit
+from .paths import Path, literal
 
 DEFAULT_BASIS_CAP = 2_000_000
 MAX_PATHS = (1 << 31) - 1  # ordinals and first children are int32
@@ -64,21 +63,17 @@ class FockBasis:
     source): first the units in vertex-name order, then the one-edge paths
     in edge-name order.  At every level >= 1 the children of a path (the
     path followed by one more edge) are contiguous, in the order of their
-    parents, and siblings are in edge-name order.  So the child of a path
-    i of length >= 1 along e is ``first_child[i]`` plus the rank of e among
-    the out-edges of its source, and the child of a unit along e is the
-    one-edge path e (the step in :meth:`ordinal`).
+    parents, and siblings are in edge-name order.  :meth:`_walk` is the one
+    forward step through this layout, and :meth:`path` its inverse.
 
     * ``vertices``: the vertex names in sorted order; a vertex id is a
       position in it, which is also the ordinal of its unit;
-    * ``offsets[k]``: the ordinal of the first path of length k, for
-      k = 0..depth + 1, so ``offsets[depth + 1] == dim``;
+    * ``offsets[k]``: the ordinal of the first path of length k, for k up
+      to one past the longest path, so ``offsets[-1] == dim``; a depth past
+      the point where the paths die out costs no memory;
     * ``target[i]``: the vertex id of the range of path i;
     * ``first_child[i]``: for 1 <= len(path i) < depth, the ordinal of its
       first child (units hold an unused 0); both are ``array("i")``.
-
-    ``paths`` is a cached view: the tuple of :class:`Path` objects in
-    ordinal order, built on first read and then kept.
     """
 
     graph: Graph
@@ -96,32 +91,53 @@ class FockBasis:
     def dim(self) -> int:
         return len(self.target)
 
-    @cached_property
-    def paths(self) -> tuple[Path, ...]:
-        return tuple(enumerate_paths(self.graph, self.depth))
-
     def upto(self, m: int) -> int:
         """Number of basis paths of length <= m; they are the ordinals below it."""
-        return self.offsets[min(m, self.depth) + 1] if m >= 0 else 0
+        return self.offsets[min(m + 1, len(self.offsets) - 1)] if m >= 0 else 0
 
     def length(self, i: int) -> int:
         return bisect_right(self.offsets, i) - 1
 
+    def _walk(self, rows: list[int], ranks: Iterable[int]) -> list[int]:
+        """The child step of the trie, the one place that reads it forward:
+        each of ``rows``, ordinals of paths shorter than the depth that end
+        at one vertex, followed by the out-edge of each rank of ``ranks`` in
+        turn, at the vertex the step before reached.
+
+        The child of a path i of length >= 1 along the out-edge of rank r of
+        its range is ``first_child[i] + r``, and that of a unit, which comes
+        first in ``rows``, is the one-edge path k, ``offsets[1] + k``.  The
+        children of consecutive paths are consecutive, so for a path of
+        length >= 1 rank 0 gives where its children begin, even if it has
+        none (:func:`right_map`).  One path steps without a list per rank."""
+        one, first_child, g = self.offsets[1], self.first_child, self.graph
+        if len(rows) == 1:
+            i = rows[0]
+            for rank in ranks:
+                i = first_child[i] + rank if i >= one else one + g.out_edge[g.out_start[i] + rank]
+            return [i]
+        for rank in ranks:
+            unit = rows[0] if rows and rows[0] < one else None
+            rows = [first_child[i] + rank for i in rows]
+            if unit is not None:
+                rows[0] = one + g.out_edge[g.out_start[unit] + rank]
+        return rows
+
     def ordinal(self, p: Path) -> int:
         g = self.graph
-        i = self.vertex_id.get(p.source)
-        if i is not None and len(p) <= self.depth:
-            eid, src, rank = g.eid, g.edge_src, g.edge_rank
-            one, first_child, target = self.offsets[1], self.first_child, self.target
+        s = at = self.vertex_id.get(p.source)
+        if at is not None and len(p) <= self.depth:
+            eid, src, dst, edge_rank = g.eid, g.edge_src, g.edge_dst, g.edge_rank
+            ranks = []
             for e in p.edges:
                 k = eid.get(e)
-                if k is None or src[k] != target[i]:
+                if k is None or src[k] != at:
                     break
-                # the child of path i along e
-                i = one + k if i < one else first_child[i] + rank[k]
+                ranks.append(edge_rank[k])
+                at = dst[k]
             else:
-                if self.vertices[self.target[i]] == p.target:
-                    return i
+                if self.vertices[at] == p.target:
+                    return self._walk([s], ranks)[0] if ranks else s
         raise GraphError(f"path {literal(p)} is not in the basis")
 
     def path(self, i: int) -> Path:
@@ -154,10 +170,8 @@ class FockBasis:
         yield [f"@{v}".encode() for v in self.vertices]
         out = map(self.graph.out_edges, self.vertices)
         prefixes = [[f"{e.name}.".encode() for e in edges] for edges in out]
-        for k in range(1, self.depth + 1):
+        for k in range(1, len(self.offsets) - 1):
             lo, hi = self.offsets[k - 1], self.offsets[k]
-            if hi == self.offsets[k + 1]:
-                return
             if k == 1:
                 level = [e.name.encode() for e in self.graph.edge_by_id]
             else:
@@ -213,11 +227,6 @@ def build_basis(g: Graph, depth: int, cap: int = DEFAULT_BASIS_CAP) -> FockBasis
     """
     if depth < 0:
         raise GraphError("depth must be >= 0")
-    if depth > cap:
-        # ``offsets`` keeps an entry for every level, the empty ones too
-        raise BasisCapError(
-            f"depth {depth} is above the cap of {cap}; lower the depth or raise the cap"
-        )
     limit = min(cap, MAX_PATHS)
 
     def check(count: int) -> None:
@@ -273,7 +282,6 @@ def build_basis(g: Graph, depth: int, cap: int = DEFAULT_BASIS_CAP) -> FockBasis
             if len(target) == hi:
                 break
             offsets.append(len(target))
-    offsets += [len(target)] * (depth + 2 - len(offsets))
     return FockBasis(g, depth, vertices, tuple(offsets), target, first_child)
 
 
@@ -437,10 +445,10 @@ def left_runs(b: FockBasis, words: Sequence[Path]) -> list[Run]:
     One scan finds the columns of the shortest word that fits, ``RUN_CHUNK``
     ordinals at a time; each longer word keeps a prefix of them (found by
     bisection).  The unit column maps to w itself, and every longer column
-    takes |w| child steps along the edges of w; the steps along the common
-    traversal prefix of the words are taken once for all of them.  So no
-    path is built or hashed, and a chunk's lists are the only Python ints
-    held.
+    takes |w| child steps (:meth:`FockBasis._walk`) along the edges of w;
+    the steps along the common traversal prefix of the words are taken
+    once for all of them.  So no path is built or hashed, and a chunk's
+    lists are the only Python ints held.
 
     Both arrays of a run are strictly ascending, the unit column first:
 
@@ -463,44 +471,35 @@ def left_runs(b: FockBasis, words: Sequence[Path]) -> list[Run]:
     fits = [w for w in words if len(w) <= b.depth]
     if not fits:
         return [(array("i"), array("i")) for _ in words]
-    s = b.vertex_id[fits[0].source]
-    target, first_child = b.target, b.first_child
-
-    eid, edge_rank = b.graph.eid, b.graph.edge_rank
-
-    def steps(rows: list[int], edges: tuple[str, ...]) -> list[int]:
-        for e in edges:
-            rank = edge_rank[eid[e]]
-            rows = [first_child[i] + rank for i in rows]
-        return rows
-
+    s, target = b.vertex_id[fits[0].source], b.target
     shortest = min(map(len, fits))
     common = 0
     while common < shortest and len({w.edges[common] for w in fits}) == 1:
         common += 1
+    eid, edge_rank = b.graph.eid, b.graph.edge_rank
+    ranks = [[edge_rank[eid[e]] for e in w.edges] for w in words]
     runs = [(array("i"), array("i")) for _ in words]
-    for w, (cols, rows) in zip(words, runs):
-        if len(w) <= b.depth:
-            cols.append(s)
-            rows.append(b.ordinal(w))
     # each word's columns end below its cut; a word past the depth has cut 0
     cuts = [b.upto(b.depth - len(w)) for w in words]
     end = b.upto(b.depth - shortest)
-    for lo in range(b.offsets[1], end, RUN_CHUNK):
+    lo, scan = b.offsets[1], [s]  # the unit column comes first
+    while True:
         hi = min(lo + RUN_CHUNK, end)
         # on one vertex every path ends at s
-        scan = list(range(lo, hi)) if len(b.vertices) == 1 else [
+        scan += range(lo, hi) if len(b.vertices) == 1 else [
             i for i, t in enumerate(target[lo:hi], lo) if t == s
         ]
-        shared = steps(scan, fits[0].edges[:common])
-        for w, (cols, rows), cut in zip(words, runs, cuts):
-            if lo < cut:
+        shared = b._walk(scan, ranks[words.index(fits[0])][:common])
+        for w_ranks, (cols, rows), cut in zip(ranks, runs, cuts):
+            if scan and scan[0] < cut:
                 n = bisect_left(scan, cut)
                 # packing converts a list about twice as fast as array.fromlist
                 fmt = f"{n}i"
                 cols.frombytes(pack(fmt, *scan[:n]))
-                rows.frombytes(pack(fmt, *steps(shared[:n], w.edges[common:])))
-    return runs
+                rows.frombytes(pack(fmt, *b._walk(shared[:n], w_ranks[common:])))
+        if hi == end:
+            return runs
+        lo, scan = hi, []
 
 
 def left_map(b: FockBasis, w: Path) -> Run:
@@ -512,37 +511,63 @@ def left_map(b: FockBasis, w: Path) -> Run:
 
 def right_map(b: FockBasis, w: Path) -> Run:
     """The truncated right-regular operator R_w (Q_x for a unit) as its
-    0/1 partial map ``(cols, rows)``, two ``array("i")`` of basis
-    ordinals, with R_w xi_cols[k] = xi_rows[k].
+    0/1 partial map ``(cols, rows)``, two strictly ascending ``array("i")``
+    of basis ordinals, the unit column first, with R_w xi_cols[k] =
+    xi_rows[k].  A word longer than the depth gives the empty map.
 
-    R_w maps the unit at target(w) to w, and v followed by an edge e to
-    R_w v followed by e; so every column's image is one child step from
-    the image of its parent, which has a lower ordinal.  A word longer
-    than the depth gives the empty map."""
+    The columns are the paths v from x = target(w) with |vw| <= N.  A word
+    compares first by its first-traversed edge, and the children of
+    consecutive paths are consecutive, so the columns of one length with
+    one first edge e are consecutive ordinals, a span; so are their images
+    vw, in the same order.  Each length is one span per out-edge of x, and
+    a span steps to the next length by child steps (:meth:`FockBasis._walk`)
+    from its ends.  Spans ascend within a length, and lengths ascend."""
     _check_path(b.graph, w)
     if len(w) > b.depth:
         return array("i"), array("i")
-    g = b.graph
-    start, out_edge = g.out_start, g.out_edge
-    one, first_child, target = b.offsets[1], b.first_child, b.target
-
-    rows = {b.vertex_id[w.target]: b.ordinal(w)}
-    # the parents: columns whose children v still have |vw| <= N.  A column
-    # and its image end at the same vertex t; their children along the
-    # out-edge at position p of t are the one-edge path out_edge[p] for a
-    # unit, else first_child + p - start[t]
-    for i in range(b.upto(b.depth - len(w) - 1)):
-        image = rows.get(i)
-        if image is not None:
-            t = target[i]
-            lo = start[t]
-            c, r = first_child[i] - lo, first_child[image] - lo
-            for p in range(lo, start[t + 1]):
-                rows[one + out_edge[p] if i < one else c + p] = (
-                    one + out_edge[p] if image < one else r + p
-                )
-    fmt = f"{len(rows)}i"
-    return array("i", pack(fmt, *rows)), array("i", pack(fmt, *rows.values()))
+    g, walk, inner = b.graph, b._walk, b.upto(b.depth - 1)
+    start, eid, edge_rank = g.out_start, g.eid, g.edge_rank
+    x, top = b.vertex_id[w.target], b.vertex_id[w.source]
+    if w.edges:
+        top = walk([top], [edge_rank[eid[e]] for e in w.edges])[0]
+    # the spans of length 1: the one-edge paths from x and the children of w
+    # along them (for a unit w the images are the columns); the children of
+    # w are consecutive, so spans with consecutive columns are one.  A span
+    # is its first column c, first image r and column end e.
+    heads = [x, top] if w.edges else [x]
+    cs, rs, es = [], [], []
+    for rank in range(start[x + 1] - start[x]) if b.depth > len(w) else ():
+        c, r = (walk(heads, (rank,)) * 2)[-2:]
+        if es and es[-1] == c:
+            es[-1] = c + 1
+        else:
+            cs.append(c), rs.append(r), es.append(c + 1)
+    spans = cs + rs + es
+    cols, rows, runs = [x], [top], (array("i"), array("i"))
+    left = b.depth - len(w)  # the column lengths still to fill
+    while True:
+        if not (left and spans) or len(cols) >= RUN_CHUNK:
+            fmt = f"{len(cols)}i"
+            runs[0].frombytes(pack(fmt, *cols))
+            runs[1].frombytes(pack(fmt, *rows))
+            cols, rows = [], []
+            if not (left and spans):
+                return runs
+        m = len(spans) // 3
+        for c, r, e in zip(spans, spans[m:], spans[2 * m :]):
+            cols += range(c, e)
+            rows += range(r, r + e - c)
+        left -= 1
+        if left:
+            # the children of a span begin at the rank-0 steps from its first
+            # column and its image, and end where those of the path after it
+            # begin, or at the end of the basis after the paths at the depth
+            if spans[-1] < inner:
+                spans = walk(spans, (0,))
+            else:
+                spans = walk(spans[:-1], (0,)) + [b.dim]
+            if not all(map(lt, spans[:m], spans[2 * m :])):  # drop the spans without children
+                spans = [*chain.from_iterable(zip(*(s for s in zip(spans, spans[m:], spans[2 * m :]) if s[0] < s[2])))]
 
 
 def left_op(b: FockBasis, w: Path) -> SparseOp:
@@ -593,17 +618,6 @@ def _check_path(g: Graph, w: Path) -> None:
         at = e.dst
     if at != w.target:
         raise GraphError(f"path {literal(w)} is not a path of this graph")
-
-
-def vertex_projection(b: FockBasis, x: str) -> SparseOp:
-    """P_x: diagonal projection onto basis paths with range x."""
-    return left_op(b, unit(b.graph, x))
-
-
-def length_projection(b: FockBasis, max_length: int) -> SparseOp:
-    """E_m: diagonal projection onto paths of length <= m (zero for m < 0)."""
-    one = Fraction(1)
-    return SparseOp._nonzero(b, {(i, i): one for i in range(b.upto(max_length))})
 
 
 def fourier_coefficients(a: SparseOp) -> dict[Path, Fraction]:

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 from operator import itemgetter
-from typing import AbstractSet, Callable, Iterable, NamedTuple, Optional, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 
 class GraphError(ValueError):
@@ -244,13 +244,6 @@ def parse_graph(text: str) -> Graph:
         raise _first_invalid_vertex(declared) or exc from None
 
 
-def render_graph(g: Graph) -> str:
-    """Inverse of :func:`parse_graph` (modulo comments and blank lines)."""
-    lines = [f"vertex {v}" for v in g.vertices]
-    lines += [f"edge {e.name} {e.src} {e.dst}" for e in g.edges]
-    return "\n".join(lines) + "\n"
-
-
 def to_dot(g: Graph, name: str = "G") -> str:
     lines = [f"digraph {name} {{"]
     for v in g.vertices:
@@ -264,17 +257,6 @@ def to_dot(g: Graph, name: str = "G") -> str:
 def transpose(g: Graph) -> Graph:
     """Reverse the direction of every edge.  An involution."""
     return Graph(g.vertices, tuple(Edge(e.name, e.dst, e.src) for e in g.edges), g.family)
-
-
-def saturation_vertices(g: Graph, x: str) -> frozenset[str]:
-    """Vertices reachable from ``x`` by directed paths, including ``x``.
-
-    This is the vertex part of the saturation of ``x`` (the full
-    saturation also contains the paths themselves).
-    """
-    if not g.has_vertex(x):
-        raise GraphError(f"unknown vertex {x!r}")
-    return frozenset(map(g.vertex_name.__getitem__, _reached_from(g, (g.vid[x],))))
 
 
 def _search(start: list[int], step: list[int], sources: Iterable[int]) -> list[int]:
@@ -377,26 +359,6 @@ def _components(
                 elif lv < low[calls[-1]]:
                     low[calls[-1]] = lv
     return components
-
-
-def strongly_connected_components(
-    g: Graph, within: Optional[AbstractSet[str]] = None
-) -> list[tuple[str, ...]]:
-    """Tarjan's algorithm, iterative so deep graphs cannot overflow the stack
-    (:func:`_components`), with the searches started in vertex declaration
-    order.
-
-    With ``within``, the components of the subgraph induced on that vertex set.
-    """
-    num = None
-    if within is not None:
-        num = [len(g.vertex_name) + 1] * len(g.vertex_name)
-        for v in within:
-            if v in g.vid:
-                num[g.vid[v]] = 0
-    names = g.vertex_name.__getitem__
-    comps = g.components if num is None else _components(g, g.roots, num)
-    return [tuple(map(names, comp)) for comp in comps]
 
 
 @dataclass(frozen=True)

@@ -100,19 +100,14 @@ class FormalIsometryPair:
         lengths = [len(s.word) for s in self.u_summands + self.v_summands]
         return max(lengths) if lengths else 0
 
-    def to_json(self) -> dict:
-        return {
-            "mode": self.mode,
-            "summands_u": [{"source": s.source, "word": literal(s.word)} for s in self.u_summands],
-            "summands_v": [{"source": s.source, "word": literal(s.word)} for s in self.v_summands],
-            "initial_set": sorted(self.initial_set),
-        }
-
     def iter_json(self) -> Iterator[str]:
-        """The text of ``json.dumps(self.to_json(), indent=2, sort_keys=True)``
-        in pieces, one per list and one per key between them.  The schema
-        is fixed, so the layout is written here and only the string leaves
-        are encoded, by the C encoder that ``json.dumps`` uses for a lone
+        """The pair as JSON text in pieces, one per list and one per key
+        between them: the object with keys ``initial_set`` (sorted),
+        ``mode``, ``summands_u`` and ``summands_v`` (each a list of objects
+        with ``source`` and ``word``, the path literal), laid out as
+        ``json.dumps(indent=2, sort_keys=True)`` lays it out.  The schema is
+        fixed, so the layout is written here and only the string leaves are
+        encoded, by the C encoder that ``json.dumps`` uses for a lone
         string; the pure-Python encoder that ``indent`` selects is never
         run."""
         q = encode_basestring_ascii
@@ -145,7 +140,7 @@ def _field(obj, key: str, kind: type):
 
 
 def pair_from_json(g: Graph, obj) -> FormalIsometryPair:
-    """Read what :meth:`FormalIsometryPair.to_json` writes; a pair file of
+    """Read what :meth:`FormalIsometryPair.iter_json` writes; a pair file of
     any other shape raises :class:`PairConstructionError`."""
     if not isinstance(obj, dict):
         raise PairConstructionError("malformed pair description: expected a JSON object")

@@ -11,7 +11,7 @@ path that traverses ``f`` then ``g``); units are written ``@x``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .graphs import Graph, GraphError
 
@@ -71,22 +71,6 @@ def literal(p: Path) -> str:
     if p.is_unit:
         return f"@{p.source}"
     return ".".join(reversed(p.edges))
-
-
-def compose(p: Path, q: Path) -> Optional[Path]:
-    """The product ``pq`` (q traversed first), or None when undefined.
-
-    Composition in a semigroupoid is a partial operation; the undefined
-    outcome is a value rather than an exception because the operator
-    algebra downstream maps it to 0.
-    """
-    if q.target != p.source:
-        return None
-    if q.is_unit:
-        return p
-    if p.is_unit:
-        return q
-    return Path(q.source, p.target, q.edges + p.edges)
 
 
 def enumerate_paths(g: Graph, max_length: int) -> list[Path]:

@@ -1,39 +1,79 @@
-"""Test-only references, outside the package.
+"""Test-only references and helpers, outside the package.
 
 The CLI and the paper's examples need none of these; tests use them as
-independent references.  For the trie: the basis built path by path
-and the step from a path to its child along one edge.  For the integer
-verification path: ``SparseOp`` projections and sums, the 0/1-diagonal
-support, the partial-isometry report, the left-factor test of two paths,
-and the bounded isometry search on ``SparseOp`` products.  For the
-integer graph index: the in-edges of a vertex, the name-keyed graph
-algorithms it replaced (components, witness search, reachability,
-reverse distances, the summand walk and Johnson's simple-cycle search)
-and the bounded first-return enumeration, which compare names and
-``Edge`` tuples where the package compares ids.  The graph algorithms are kept word for word,
-except that the components read ``set(g.vertices)`` where they read a
-vertex set the graph no longer stores.  Run through pytest, which puts
-``tests/`` on the import path.
+independent references.  Run through pytest, which puts ``tests/`` on the
+import path.
+
+* The trie: the basis built path by path, the step from a path to its
+  child along one edge, and :func:`paths.enumerate_paths`, whose sort is
+  the oracle for the basis order.
+* Helpers that left the package because only tests called them:
+  ``length_projection`` and ``vertex_projection`` (formerly in ``fock``),
+  ``compose`` (``paths``), ``render_graph``, ``saturation_vertices`` and
+  the name-keyed components ``components`` (formerly
+  ``graphs.strongly_connected_components``), ``to_json`` (formerly
+  ``FormalIsometryPair.to_json``), and the matrix-pattern checks
+  ``cycle_residue_conforms``, ``verify_cycle_pattern`` and
+  ``verify_structure_examples`` (formerly in ``catalog``).
+* The integer verification path: ``SparseOp`` projections and sums, the
+  0/1-diagonal support, the partial-isometry report, the left-factor
+  test of two paths, and the bounded isometry search on ``SparseOp``
+  products.
+* The integer graph index: the in-edges of a vertex, the name-keyed
+  graph algorithms it replaced (components, witness search,
+  reachability, reverse distances, the summand walk and Johnson's
+  simple-cycle search) and the bounded first-return enumeration, which
+  compare names and ``Edge`` tuples where the package compares ids.  They
+  are kept word for word, except that the components read
+  ``set(g.vertices)`` where they read a vertex set the graph no longer
+  stores.
+* The dict-based verification path (``left_map``, ``MaterializedPair``,
+  ``materialize``, ``verify_pair``, ``verify_materialized``), kept word
+  for word as the reference for the runs of :mod:`partlyfree.fock` and
+  :mod:`partlyfree.pairs`: :func:`verify_materialized` must return the
+  same report as ``partlyfree.pairs.verify_materialized``, messages
+  included, or raise the same error.
+* The rational operator path of the package before it was built from
+  runs and the trie (``SparseOp``, ``basis_hash``, ``left_op``,
+  ``right_op``, ``fourier_coefficients``, ``reconstruct``,
+  ``export_sparse``, ``_parse_op_expression``), kept word for word as the
+  reference that the tests compare the package against; its P_x is
+  ``vertex_projection`` above, which had the same text.  ``SparseOp``
+  here is the package's class with its earlier ``+`` and scalar ``*``,
+  which add and multiply every entry and filter zeros in the
+  constructor; ``basis_hash`` is the earlier ``FockBasis.basis_hash`` as
+  a function of the basis, and it and ``fourier_coefficients`` read the
+  paths from :func:`paths.enumerate_paths`.
+
+The helpers of this module that build package operators name them
+``fock.SparseOp``, ``fock.left_op`` and ``fock.left_map``, since
+``SparseOp``, ``left_op``, ``right_op`` and ``left_map`` here are the
+references.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import random
+import re
 from array import array
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import AbstractSet, Iterable, Optional, Sequence
+from typing import AbstractSet, Iterable, Mapping, Optional, Sequence
 
+from partlyfree import fock
+from partlyfree.catalog import DEFAULT_SEED, EntryCheck, builtin
 from partlyfree.fock import (
     DEFAULT_BASIS_CAP,
     BasisCapError,
     FockBasis,
-    SparseOp,
+    _check_path,
     build_basis,
-    left_op,
-    length_projection,
-    right_op,
+    fourier_coefficients as package_fourier_coefficients,
 )
 from partlyfree.graphs import (
     CycleWitness,
@@ -42,12 +82,18 @@ from partlyfree.graphs import (
     Graph,
     GraphError,
     PropertyReport,
-    saturation_vertices,
+    _components,
+    _reached_from as reached_ids,
     transpose,
 )
 from partlyfree.oracle import CYCLE_SEARCH_BUDGET, SearchHit, _candidate_operators
-from partlyfree.pairs import Summand
-from partlyfree.paths import Path, unit
+from partlyfree.pairs import (
+    FormalIsometryPair,
+    PairConstructionError,
+    Summand,
+    VerificationReport,
+)
+from partlyfree.paths import Path, enumerate_paths, literal, path_from_literal, unit, word
 
 
 def build_basis_by_parents(g: Graph, depth: int, cap: int = DEFAULT_BASIS_CAP) -> FockBasis:
@@ -58,10 +104,6 @@ def build_basis_by_parents(g: Graph, depth: int, cap: int = DEFAULT_BASIS_CAP) -
     the level is joined; ``first_child`` is an ``array("q")``."""
     if depth < 0:
         raise GraphError("depth must be >= 0")
-    if depth > cap:
-        raise BasisCapError(
-            f"depth {depth} is above the cap of {cap}; lower the depth or raise the cap"
-        )
 
     def check(count: int) -> None:
         if count > cap:
@@ -90,7 +132,6 @@ def build_basis_by_parents(g: Graph, depth: int, cap: int = DEFAULT_BASIS_CAP) -
             if len(target) == hi:
                 break
             offsets.append(len(target))
-    offsets += [len(target)] * (depth + 2 - len(offsets))
     return FockBasis(g, depth, vertices, tuple(offsets), target, first_child)
 
 
@@ -102,7 +143,7 @@ def child(b: FockBasis, i: int, e: str) -> int:
     return b.offsets[1] + k if i < b.offsets[1] else b.first_child[i] + g.edge_rank[k]
 
 
-def diagonal_01_support(op: SparseOp) -> Optional[frozenset[int]]:
+def diagonal_01_support(op: fock.SparseOp) -> Optional[frozenset[int]]:
     """Support of a 0/1 diagonal matrix, or None if not of that form."""
     support = set()
     for (r, c), v in op.entries.items():
@@ -118,22 +159,22 @@ def in_edges(g: Graph, v: str) -> tuple[Edge, ...]:
     return tuple(map(g.edge_by_id.__getitem__, g.in_edge[g.in_start[i] : g.in_start[i + 1]]))
 
 
-def source_projection(b: FockBasis, x: str) -> SparseOp:
+def source_projection(b: FockBasis, x: str) -> fock.SparseOp:
     """Q_x: diagonal projection onto basis paths with source x."""
-    return right_op(b, unit(b.graph, x))
+    return fock.right_op(b, unit(b.graph, x))
 
 
-def sum_vertex_projection(b: FockBasis, vertices: Iterable[str]) -> SparseOp:
+def sum_vertex_projection(b: FockBasis, vertices: Iterable[str]) -> fock.SparseOp:
     vs = set(vertices)
     for x in vs:
         if not b.graph.has_vertex(x):
             raise GraphError(f"unknown vertex {x!r}")
     ids = {b.vertex_id[x] for x in vs}
     one = Fraction(1)
-    return SparseOp(b, {(i, i): one for i, t in enumerate(b.target) if t in ids})
+    return fock.SparseOp(b, {(i, i): one for i, t in enumerate(b.target) if t in ids})
 
 
-def interior_projection(b: FockBasis, degree: int) -> SparseOp:
+def interior_projection(b: FockBasis, degree: int) -> fock.SparseOp:
     """E_{N-d}: the interior that degree-d operators map into the basis."""
     if not 0 <= degree <= b.depth:
         raise GraphError(f"degree must lie in 0..{b.depth}")
@@ -154,13 +195,13 @@ class PartialIsometryReport:
 
     is_partial_isometry: bool
     failure: Optional[str]
-    initial_projection: SparseOp
+    initial_projection: fock.SparseOp
     vertex_set: Optional[frozenset[str]]
     level: Optional[int]
     per_vertex_levels: Optional[dict[str, int]]
 
 
-def partial_isometry_report(v: SparseOp) -> PartialIsometryReport:
+def partial_isometry_report(v: fock.SparseOp) -> PartialIsometryReport:
     """Check V*V == (V*V)^2 exactly and decompose it into vertex slices."""
     b = v.basis
     k = v.adjoint() * v
@@ -175,17 +216,18 @@ def partial_isometry_report(v: SparseOp) -> PartialIsometryReport:
         )
     if not support:
         return PartialIsometryReport(True, None, k, frozenset(), b.depth, {})
+    paths = enumerate_paths(b.graph, b.depth)
     by_vertex: dict[str, list[int]] = {}
     for i in support:
-        by_vertex.setdefault(b.paths[i].target, []).append(i)
+        by_vertex.setdefault(paths[i].target, []).append(i)
     class_counts: dict[str, dict[int, int]] = {}
-    for p in b.paths:
+    for p in paths:
         if p.target in by_vertex:
             class_counts.setdefault(p.target, {})
             class_counts[p.target][len(p)] = class_counts[p.target].get(len(p), 0) + 1
     levels: dict[str, int] = {}
     for x, ordinals in by_vertex.items():
-        m = max(len(b.paths[i]) for i in ordinals)
+        m = max(len(paths[i]) for i in ordinals)
         expected = sum(n for length, n in class_counts[x].items() if length <= m)
         if expected != len(ordinals):
             return PartialIsometryReport(
@@ -216,12 +258,12 @@ def is_left_divisor(p: Path, q: Path) -> bool:
     return q.edges[len(q) - len(p):] == p.edges
 
 
-def sum_left_ops(b: FockBasis, summands: Sequence[Summand]) -> SparseOp:
+def sum_left_ops(b: FockBasis, summands: Sequence[Summand]) -> fock.SparseOp:
     """The truncated matrix of sum_k L_{w_k} over the summand words, the
     ``SparseOp`` reference for the partial maps of ``pairs.materialize``."""
-    out = SparseOp.zero(b)
+    out = fock.SparseOp.zero(b)
     for s in summands:
-        out = out + left_op(b, s.word)
+        out = out + fock.left_op(b, s.word)
     return out
 
 
@@ -717,3 +759,559 @@ def has_double_cycle_bruteforce(g: Graph) -> bool:
             return True
         seen |= vertices
     return False
+
+
+# ------------------------------------------------ helpers moved out of the package
+
+
+def length_projection(b: FockBasis, max_length: int) -> fock.SparseOp:
+    """E_m: diagonal projection onto paths of length <= m (zero for m < 0)."""
+    one = Fraction(1)
+    return fock.SparseOp._nonzero(b, {(i, i): one for i in range(b.upto(max_length))})
+
+
+def vertex_projection(b: FockBasis, x: str) -> fock.SparseOp:
+    """P_x: diagonal projection onto basis paths with range x."""
+    return fock.left_op(b, unit(b.graph, x))
+
+
+def compose(p: Path, q: Path) -> Optional[Path]:
+    """The product ``pq`` (q traversed first), or None when undefined.
+
+    Composition in a semigroupoid is a partial operation; the undefined
+    outcome is a value rather than an exception because the operator
+    algebra downstream maps it to 0.
+    """
+    if q.target != p.source:
+        return None
+    if q.is_unit:
+        return p
+    if p.is_unit:
+        return q
+    return Path(q.source, p.target, q.edges + p.edges)
+
+
+def render_graph(g: Graph) -> str:
+    """Inverse of :func:`parse_graph` (modulo comments and blank lines)."""
+    lines = [f"vertex {v}" for v in g.vertices]
+    lines += [f"edge {e.name} {e.src} {e.dst}" for e in g.edges]
+    return "\n".join(lines) + "\n"
+
+
+def saturation_vertices(g: Graph, x: str) -> frozenset[str]:
+    """Vertices reachable from ``x`` by directed paths, including ``x``.
+
+    This is the vertex part of the saturation of ``x`` (the full
+    saturation also contains the paths themselves).
+    """
+    if not g.has_vertex(x):
+        raise GraphError(f"unknown vertex {x!r}")
+    return frozenset(map(g.vertex_name.__getitem__, reached_ids(g, (g.vid[x],))))
+
+
+def components(
+    g: Graph, within: Optional[AbstractSet[str]] = None
+) -> list[tuple[str, ...]]:
+    """Tarjan's algorithm, iterative so deep graphs cannot overflow the stack
+    (:func:`graphs._components`), with the searches started in vertex
+    declaration order.
+
+    With ``within``, the components of the subgraph induced on that vertex set.
+    """
+    num = None
+    if within is not None:
+        num = [len(g.vertex_name) + 1] * len(g.vertex_name)
+        for v in within:
+            if v in g.vid:
+                num[g.vid[v]] = 0
+    names = g.vertex_name.__getitem__
+    comps = g.components if num is None else _components(g, g.roots, num)
+    return [tuple(map(names, comp)) for comp in comps]
+
+
+def to_json(pair: FormalIsometryPair) -> dict:
+    """The pair as the JSON object that ``FormalIsometryPair.iter_json``
+    writes and :func:`pairs.pair_from_json` reads."""
+    return {
+        "mode": pair.mode,
+        "summands_u": [{"source": s.source, "word": literal(s.word)} for s in pair.u_summands],
+        "summands_v": [{"source": s.source, "word": literal(s.word)} for s in pair.v_summands],
+        "initial_set": sorted(pair.initial_set),
+    }
+
+
+def cycle_residue_conforms(n: int, table: dict) -> bool:
+    """Check the matrix-function pattern of the cycle algebra: a_w may be
+    nonzero only when |w| == (range index - source index) mod n.
+
+    Vertices of ``cycle(n)`` are named x1..xn; the support of any element
+    of the algebra must respect the grading because every path winds
+    monotonically around the cycle.
+    """
+    for path, coeff in table.items():
+        if not coeff:
+            continue
+        i = int(path.source[1:])
+        j = int(path.target[1:])
+        if (len(path) - (j - i)) % n != 0:
+            return False
+    return True
+
+
+def verify_cycle_pattern(n: int, depth: int, seed: int = DEFAULT_SEED) -> bool:
+    """Sample elements of the cycle algebra and check the residue pattern."""
+    if n < 1 or depth < n:
+        raise GraphError("verify_cycle_pattern needs n >= 1 and depth >= n")
+    g = builtin(f"cycle({n})").graph
+    basis = build_basis(g, depth)
+    elements = []
+    for w in enumerate_paths(g, min(3, depth)):
+        elements.append(fock.left_op(basis, w))
+    rng = random.Random(seed)
+    gen_words = [unit(g, v) for v in g.vertices] + [word(g, (e.name,)) for e in g.edges]
+    for _ in range(20):
+        product = fock.left_op(basis, rng.choice(gen_words))
+        for _ in range(rng.randint(1, depth - 1)):
+            product = product * fock.left_op(basis, rng.choice(gen_words))
+        elements.append(product)
+        combo = Fraction(rng.randint(1, 9), rng.randint(1, 9)) * rng.choice(elements)
+        elements.append(combo + product)
+    return all(cycle_residue_conforms(n, package_fourier_coefficients(a)) for a in elements)
+
+
+def verify_structure_examples(depth: int, seed: int = DEFAULT_SEED) -> EntryCheck:
+    """Check the two matrix identifications of the small finite examples.
+
+    triangle_Lfree: in the block decomposition by the two vertex
+    projections, the y-corner of any algebra element is scalar, the
+    x-from-y corner vanishes, and the y-from-x corner is supported on
+    words through f with no constant term.
+
+    digraph_T: the general element a L_{x1} + b L_{x2} + c L_{x3} +
+    l L_e + m L_f at depth 1 is the familiar 5x5 matrix with diagonal
+    (a, b, c, b, c) and entries l, m in the first column.
+    """
+    checks: list[tuple[str, bool, str]] = []
+    if depth < 2:
+        raise GraphError("verify_structure_examples needs depth >= 2")
+
+    g = builtin("triangle_Lfree").graph
+    basis = build_basis(g, depth)
+    rng = random.Random(seed)
+    elements = [fock.left_op(basis, w) for w in enumerate_paths(g, min(4, depth))]
+    for _ in range(10):
+        a, b = rng.choice(elements), rng.choice(elements)
+        elements.append(Fraction(rng.randint(1, 5)) * a + b)
+    px = vertex_projection(basis, "x")
+    py = vertex_projection(basis, "y")
+    corner_scalar = True
+    corner_zero = True
+    corner_hinf0 = True
+    for a in elements:
+        yy = package_fourier_coefficients(py * a * py)
+        corner_scalar &= all(w.is_unit and w.source == "y" for w in yy)
+        corner_zero &= (px * a * py).is_zero()
+        yx = package_fourier_coefficients(py * a * px)
+        corner_hinf0 &= all(
+            len(w) >= 1 and w.source == "x" and w.target == "y" and w.edges[-1] == "f"
+            for w in yx
+        )
+    checks.append(("triangle: y-corner is scalar", corner_scalar, ""))
+    checks.append(("triangle: x-from-y corner vanishes", corner_zero, ""))
+    checks.append(("triangle: y-from-x corner lies in f * H_inf", corner_hinf0, ""))
+
+    g5 = builtin("digraph_T").graph
+    b5 = build_basis(g5, 1)
+    a, b, c, l, m = (Fraction(v) for v in (1, 2, 3, 4, 5))
+    x = (
+        a * vertex_projection(b5, "x1")
+        + b * vertex_projection(b5, "x2")
+        + c * vertex_projection(b5, "x3")
+        + l * fock.left_op(b5, word(g5, ("e",)))
+        + m * fock.left_op(b5, word(g5, ("f",)))
+    )
+    idx = {literal(p): i for i, p in enumerate(enumerate_paths(g5, 1))}
+    expected = {
+        (idx["@x1"], idx["@x1"]): a,
+        (idx["@x2"], idx["@x2"]): b,
+        (idx["@x3"], idx["@x3"]): c,
+        (idx["e"], idx["e"]): b,
+        (idx["f"], idx["f"]): c,
+        (idx["e"], idx["@x1"]): l,
+        (idx["f"], idx["@x1"]): m,
+    }
+    ok = x.entries == expected
+    checks.append(("fork: 5x5 matrix matches the displayed pattern", ok, ""))
+    return EntryCheck("structure examples", tuple(checks))
+
+
+# ------------------------------------------------ dict-based verification path
+
+
+def left_map(b: FockBasis, w: Path) -> dict[int, int]:
+    """The truncated L_w as its 0/1 partial map col -> row of basis
+    ordinals: v |-> wv for every path v with range source(w) and
+    |wv| <= N.  A sum of L_w over distinct sources is the union of the
+    maps, since their columns are disjoint.
+
+    The unit column maps to w itself; every longer column takes |w| child
+    steps along the edges of w, so no path is built or hashed."""
+    _check_path(b.graph, w)
+    if len(w) > b.depth:
+        return {}
+    s, target, first_child = b.vertex_id[w.source], b.target, b.first_child
+    cols = [i for i in range(b.offsets[1], b.upto(b.depth - len(w))) if target[i] == s]
+    rows = cols
+    for e in w.edges:
+        rank = b.graph.edge_rank[b.graph.eid[e]]
+        rows = [first_child[i] + rank for i in rows]
+    out = {s: b.ordinal(w)}
+    out.update(zip(cols, rows))
+    return out
+
+
+@dataclass(frozen=True)
+class MaterializedPair:
+    """U and V on a truncated Fock space, each as its 0/1 partial map
+    col -> row of basis ordinals (``SparseOp`` sums of ``left_op`` are the
+    test reference), with the interior level and per-summand levels."""
+
+    u: dict[int, int]
+    v: dict[int, int]
+    level: int            # depth minus the longest summand word; < 0 means empty interior
+    u_levels: dict[str, int]
+    v_levels: dict[str, int]
+    pair: FormalIsometryPair
+    basis: FockBasis
+
+
+def materialize(pair: FormalIsometryPair, b: FockBasis) -> MaterializedPair:
+    """Build the partial maps of U and V as unions of the ``left_map`` of
+    their summand words; the columns are disjoint because the sources are.
+
+    A word longer than the depth materializes as the zero block.  On the
+    window of a built-in countable family this is expected (the window
+    may outrun the depth) and allowed; on any other graph, whatever the
+    pair's mode, it indicates a depth chosen too small and raises.
+    """
+    maxlen = pair.max_word_length()
+    if maxlen > b.depth and b.graph.family is None:
+        raise PairConstructionError(
+            f"summand words reach length {maxlen}; materialize at depth >= {maxlen}"
+        )
+    u_levels = {s.source: b.depth - len(s.word) for s in pair.u_summands}
+    v_levels = {s.source: b.depth - len(s.word) for s in pair.v_summands}
+    u: dict[int, int] = {}
+    v: dict[int, int] = {}
+    for h, summands in ((u, pair.u_summands), (v, pair.v_summands)):
+        for s in summands:
+            h.update(left_map(b, s.word))
+    return MaterializedPair(u, v, b.depth - maxlen, u_levels, v_levels, pair, b)
+
+
+
+def verify_pair(mat: MaterializedPair) -> VerificationReport:
+    """Check the defining identities of a partly-free witness pair.
+
+    With m the interior level and I the pair's initial set:
+
+    (a) U*V == 0 on the full truncated space (orthogonality has no
+        boundary defect for left-factor-free words);
+    (b) U*U == V*V == sum_{x in I} P_x, compressed to E_m, and the exact
+        blockwise identity U*U == sum_k P_{x_k} E_{N - |u_k|} (likewise V);
+    (c) UU* <= U*U and VV* <= V*V as containment of 0/1 diagonal
+        supports after compressing to E_m; on the window of a built-in
+        countable family (``graph.family``) the projection onto all of its
+        vertices plays the role of the full initial projection, since a
+        window sees only finitely many of the infinitely many summands;
+    (d) both initial projections have the standard form sum_x P_x E_{m_x}
+        over the summand sources whose words fit the depth.
+
+    U and V are the partial maps f, g of ``mat``, and each identity is
+    decided exactly with integers and sets: U*V == 0 iff f and g have
+    disjoint ranges; U*U is [f(i) == f(j)], a projection iff f is
+    injective; UU* is the diagonal of the fiber sizes of f.  ``SparseOp``
+    products and ``partial_isometry_report`` are the test reference.
+    """
+    b, level, initial_set = mat.basis, mat.level, mat.pair.initial_set
+    unknown = initial_set - set(b.graph.vertices)
+    if unknown:
+        raise GraphError(f"unknown vertex {min(unknown)!r}")
+    target, interior = b.target, b.upto(level)
+    # class sizes: sizes[k][x] is the number of paths of length <= k with
+    # range vertex id x; the paths of length k into y are the paths of
+    # length k - 1 followed by an edge into y, and once a level is empty
+    # so are all longer ones
+    ends = [(b.vertex_id[e.src], b.vertex_id[e.dst]) for e in b.graph.edges]
+    paths_k = [1] * len(b.vertices)
+    sizes = [paths_k]
+    for _ in range(b.depth):
+        into = [0] * len(paths_k)
+        for src, dst in ends:
+            into[dst] += paths_k[src]
+        if not any(into):
+            break
+        paths_k = into
+        sizes.append([a + c for a, c in zip(sizes[-1], paths_k)])
+
+    def longest(cols: list[int]) -> dict[int, int]:
+        """Range vertex id -> the greatest of the sorted ``cols`` there,
+        which is the longest one, since ordinals grow with length."""
+        return dict(zip(map(target.__getitem__, cols), cols))
+
+    def ids(levels: dict[str, int]) -> dict[int, int]:
+        return {b.vertex_id[x]: m for x, m in levels.items()}
+
+    def is_block(members, top: dict[int, int], levels: dict[int, int]) -> bool:
+        """Are ``members``, whose longest one at each range vertex id is
+        ``top`` there, exactly the paths p with len(p) <= levels[target(p)]?"""
+        size = sum(sizes[min(m, len(sizes) - 1)][x] for x, m in levels.items() if m >= 0)
+        return len(members) == size and all(
+            i < b.upto(levels.get(x, -1)) for x, i in top.items()
+        )
+
+    def read(h: dict[int, int]):
+        """Return whether the partial map h is injective, the supports of
+        E U*U E (dom h in E, as a sorted list) and of E UU* E (range h in
+        E), each None when that is no 0/1 diagonal, the vertex set of the
+        standard form of U*U, None when it has none, and the longest member
+        of dom h at each range vertex id."""
+        fibers = Counter(h.values())
+        injective = len(fibers) == len(h)
+        cols = sorted(h)
+        initial = cols[:bisect_left(cols, interior)]
+        if len({h[i] for i in initial}) != len(initial):
+            initial = None
+        ranges = {r for r in fibers if r < interior}
+        if any(fibers[r] > 1 for r in ranges):
+            ranges = None
+        top = longest(cols)
+        lengths = {x: b.length(i) for x, i in top.items()}
+        standard = injective and is_block(h, top, lengths)
+        vertex_set = frozenset(b.vertices[x] for x in top) if standard else None
+        return injective, initial, ranges, vertex_set, top
+
+    f, g = mat.u, mat.v
+    injective_u, s_u, lhs_u, vertex_set_u, top_u = read(f)
+    injective_v, s_v, lhs_v, vertex_set_v, top_v = read(g)
+    messages: list[str] = []
+    nonzero = bool(f) and bool(g)
+    if not nonzero:
+        messages.append("an operator materialized to zero (depth far below the word lengths?)")
+    orthogonal = set(f.values()).isdisjoint(g.values())
+    if not orthogonal:
+        messages.append("U*V has a nonzero entry")
+
+    initial_levels = ids(dict.fromkeys(initial_set, level))
+    initial_match = all(
+        s is not None and is_block(s, longest(s), initial_levels) for s in (s_u, s_v)
+    )
+    if not initial_match:
+        messages.append("compressed initial projections disagree")
+
+    blockwise = (
+        injective_u
+        and injective_v
+        and is_block(f, top_u, ids(mat.u_levels))
+        and is_block(g, top_v, ids(mat.v_levels))
+    )
+    if not blockwise:
+        messages.append("blockwise initial projection identity fails")
+
+    if b.graph.family is None:
+        rhs_u, rhs_v = s_u, s_v
+    else:
+        # the right-hand side is all of E_m, which holds every range read above
+        rhs_u, rhs_v = lhs_u, lhs_v
+    if lhs_u is None or lhs_v is None or rhs_u is None or rhs_v is None:
+        range_condition = False
+        messages.append("a range or initial projection is not a 0/1 diagonal")
+    else:
+        range_condition = lhs_u.issubset(rhs_u) and lhs_v.issubset(rhs_v)
+        if not range_condition:
+            messages.append("a range projection escapes the initial projection")
+
+    standard_form = vertex_set_u == {x for x, m in mat.u_levels.items() if m >= 0} and (
+        vertex_set_v == {x for x, m in mat.v_levels.items() if m >= 0}
+    )
+    if not standard_form:
+        messages.append("standard-form decomposition does not match the predicted vertex set")
+
+    return VerificationReport(
+        depth=b.depth,
+        interior_level=level,
+        nonzero=nonzero,
+        orthogonal=orthogonal,
+        initial_projections_match=initial_match,
+        blockwise_exact=blockwise,
+        range_condition=range_condition,
+        standard_form=standard_form,
+        messages=tuple(messages),
+    )
+
+
+
+def verify_materialized(pair: FormalIsometryPair, b: FockBasis) -> VerificationReport:
+    """Materialize and verify in one step."""
+    return verify_pair(materialize(pair, b))
+
+
+# ------------------------------------------------ rational operator path
+
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+class SparseOp(fock.SparseOp):
+    __slots__ = ()
+
+    def __add__(self, other: "SparseOp") -> "SparseOp":
+        self._check_same_basis(other)
+        out = dict(self.entries)
+        for k, v in other.entries.items():
+            s = out.get(k)
+            out[k] = v if s is None else s + v
+        return SparseOp(self.basis, out)
+
+    def __mul__(self, other):
+        if isinstance(other, SparseOp):
+            self._check_same_basis(other)
+            by_row: dict[int, list[tuple[int, Fraction]]] = {}
+            for (r, c), v in other.entries.items():
+                by_row.setdefault(r, []).append((c, v))
+            out: dict[tuple[int, int], Fraction] = {}
+            for (r, k), va in self.entries.items():
+                for c, vb in by_row.get(k, ()):
+                    key = (r, c)
+                    s = out.get(key)
+                    prod = va * vb
+                    out[key] = prod if s is None else s + prod
+            return SparseOp(self.basis, out)
+        if isinstance(other, (int, Fraction)):
+            q = Fraction(other)
+            return SparseOp(self.basis, {k: q * v for k, v in self.entries.items()})
+        return NotImplemented
+
+
+def basis_hash(self) -> str:
+    digest = hashlib.sha256()
+    digest.update(str(self.depth).encode())
+    for p in enumerate_paths(self.graph, self.depth):
+        digest.update(literal(p).encode())
+        digest.update(b"\n")
+    return digest.hexdigest()[:12]
+
+
+def left_op(b: FockBasis, w: Path) -> SparseOp:
+    """The truncated left creation operator L_w (P_x for a unit)."""
+    one = Fraction(1)
+    return SparseOp(b, {(row, col): one for col, row in zip(*fock.left_map(b, w))})
+
+
+def right_op(b: FockBasis, w: Path) -> SparseOp:
+    """The truncated right-regular operator R_w (Q_x for a unit).
+
+    R_w maps the unit at target(w) to w, and v followed by an edge e to
+    R_w v followed by e; so every column's image is one child step from
+    the image of its parent, which has a lower ordinal.  A word longer
+    than the depth gives the zero operator."""
+    _check_path(b.graph, w)
+    if len(w) > b.depth:
+        return SparseOp.zero(b)
+    out_edges = [b.graph.out_edges(v) for v in b.vertices]
+    rows = {b.vertex_id[w.target]: b.ordinal(w)}
+    # the parents: columns whose children v still have |vw| <= N
+    for i in range(b.upto(b.depth - len(w) - 1)):
+        image = rows.get(i)
+        if image is not None:
+            for e in out_edges[b.target[i]]:
+                rows[child(b, i, e.name)] = child(b, image, e.name)
+    one = Fraction(1)
+    return SparseOp(b, {(row, col): one for col, row in rows.items()})
+
+
+def fourier_coefficients(a: SparseOp) -> dict[Path, Fraction]:
+    """Coefficients a_w of the expansion A ~ sum a_w L_w.
+
+    a_w is the entry of A at row w and column unit(source(w)); for
+    elements of the truncated algebra this reads the coefficients off the
+    columns of the unit vectors, exactly.
+    """
+    b = a.basis
+    table: dict[Path, Fraction] = {}
+    for i, w in enumerate(enumerate_paths(b.graph, b.depth)):
+        # the unit at a vertex has the vertex id as its ordinal
+        value = a.entries.get((i, b.vertex_id[w.source]))
+        if value:
+            table[w] = value
+    return table
+
+
+def reconstruct(
+    table: Mapping[Path, Fraction], b: FockBasis, mode: str = "plain", degree: int = 0
+) -> SparseOp:
+    """Partial sums of sum a_w L_w from a coefficient table.
+
+    ``plain``  : sum over |w| <= degree of a_w L_w
+    ``cesaro`` : sum over |w| <= degree of (1 - |w|/(degree+1)) a_w L_w,
+                 the first-order Cesaro mean over word length.
+    """
+    if mode not in ("plain", "cesaro"):
+        raise GraphError(f"unknown reconstruction mode {mode!r}")
+    out = SparseOp.zero(b)
+    for w, coeff in sorted(table.items(), key=lambda kv: (len(kv[0]), kv[0].edges, kv[0].source)):
+        if len(w) > degree:
+            continue
+        weight = Fraction(coeff)
+        if mode == "cesaro":
+            weight *= 1 - Fraction(len(w), degree + 1)
+        if weight:
+            out = out + weight * left_op(b, w)
+    return out
+
+
+def export_sparse(a: SparseOp) -> str:
+    """Line-based export: header ``dim N basis-hash``, then sorted entries."""
+    b = a.basis
+    lines = [f"{b.dim} {b.depth} {basis_hash(b)}"]
+    for (r, c) in sorted(a.entries):
+        v = a.entries[(r, c)]
+        lines.append(f"{r} {c} {v.numerator}/{v.denominator}")
+    return "\n".join(lines) + "\n"
+
+
+def _parse_op_expression(basis, text: str) -> SparseOp:
+    """Sum of terms ``[q*]L:word``, ``[q*]R:word``, ``[q*]P:vertex``;
+    rationals like 3, -2/5.  Words use the path literal syntax."""
+    total = SparseOp.zero(basis)
+    g = basis.graph
+    for raw_term in text.split("+"):
+        term = raw_term.strip()
+        if not term:
+            raise GraphError("empty term in operator expression")
+        scalar = Fraction(1)
+        if "*" in term:
+            coeff, term = term.split("*", 1)
+            coeff = coeff.strip()
+            try:
+                # Fraction alone would also take "1e999999999" and build that power of ten
+                if not _RATIONAL.fullmatch(coeff):
+                    raise ValueError
+                scalar = Fraction(coeff)
+            except (ValueError, ZeroDivisionError):
+                raise GraphError(f"bad rational coefficient {coeff!r}") from None
+            term = term.strip()
+        if ":" not in term:
+            raise GraphError(f"bad operator term {raw_term.strip()!r}")
+        kind, lit = term.split(":", 1)
+        kind = kind.strip()
+        lit = lit.strip()
+        if kind == "L":
+            op = left_op(basis, path_from_literal(g, lit))
+        elif kind == "R":
+            op = right_op(basis, path_from_literal(g, lit))
+        elif kind == "P":
+            op = vertex_projection(basis, lit)
+        else:
+            raise GraphError(f"unknown operator kind {kind!r} (use L, R or P)")
+        total = total + scalar * op
+    return total

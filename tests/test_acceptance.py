@@ -21,35 +21,35 @@ from partlyfree import (
     enumerate_paths,
     fourier_coefficients,
     left_op,
-    length_projection,
     materialize,
     quiver_pair,
     reconstruct,
     transpose,
     unit,
     verify_materialized,
-    vertex_projection,
     word,
 )
 from partlyfree import catalog, oracle
 from partlyfree.catalog import (
     builtin,
     classify_family,
-    cycle_residue_conforms,
     commutant_check,
     example_pair_partly_free_D,
     family_truncation,
-    verify_cycle_pattern,
-    verify_structure_examples,
 )
 from partlyfree.cli import main as cli_main
 
 from conftest import partial_map
 from reference import (
+    cycle_residue_conforms,
     interior_projection,
+    length_projection,
     partial_isometry_report,
     sum_left_ops,
     sum_vertex_projection,
+    verify_cycle_pattern,
+    verify_structure_examples,
+    vertex_projection,
 )
 
 

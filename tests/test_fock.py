@@ -14,18 +14,15 @@ from partlyfree import (
     Path,
     SparseOp,
     build_basis,
-    compose,
     enumerate_paths,
     export_sparse,
     fourier_coefficients,
     left_op,
-    length_projection,
     literal,
     path_from_literal,
     reconstruct,
     right_op,
     unit,
-    vertex_projection,
     word,
 )
 
@@ -36,10 +33,13 @@ from conftest import cycle_graph
 from reference import (
     build_basis_by_parents,
     child,
+    compose,
     interior_projection,
+    length_projection,
     partial_isometry_report,
     source_projection,
     sum_vertex_projection,
+    vertex_projection,
 )
 
 
@@ -89,7 +89,7 @@ def _trie_literals(b) -> list[str]:
 
 @pytest.mark.parametrize("depth", range(6))
 def test_trie_matches_enumerated_paths(depth):
-    """Ordinals, ``paths``, ``path``, the literals and ``right_op`` of the
+    """Ordinals, ``path``, the literals and ``right_op`` of the
     trie against the sorted enumeration of :func:`enumerate_paths`,
     :func:`literal` and ``paths.compose``; the graphs include the edgeless
     one and digraph_T, whose levels die out."""
@@ -101,12 +101,11 @@ def test_trie_matches_enumerated_paths(depth):
             continue
         checked += 1
         ref = enumerate_paths(g, depth)
-        assert b.paths == tuple(ref)
         assert [b.path(i) for i in range(b.dim)] == ref
         assert _trie_literals(b) == [literal(p) for p in ref]
         index = {p: i for i, p in enumerate(ref)}
         assert [b.ordinal(p) for p in ref] == list(range(b.dim))
-        for p in ref[b.offsets[depth]:]:
+        for p in ref[b.upto(depth - 1):]:
             for e in g.out_edges(p.target):
                 with pytest.raises(GraphError, match="not in the basis"):
                     b.ordinal(Path(p.source, e.dst, p.edges + (e.name,)))
@@ -349,8 +348,9 @@ def test_right_op_c2_entry():
     row = b.ordinal(path_from_literal(c2, "e1"))
     col = b.ordinal(unit(c2, "x2"))
     assert op.entries[(row, col)] == 1
+    paths = enumerate_paths(c2, 2)
     for (r, c) in op.entries:
-        assert b.paths[c].source == "x2"
+        assert paths[c].source == "x2"
 
 
 def test_ops_reject_foreign_paths(fork, two_loops):
@@ -503,7 +503,8 @@ def test_length_projection_negative_is_zero(single_loop):
 def test_sum_vertex_projection(fork):
     b = build_basis(fork, 1)
     p = sum_vertex_projection(b, {"x2", "x3"})
-    supported = {literal(b.paths[i]) for (i, _) in p.entries}
+    paths = enumerate_paths(fork, 1)
+    supported = {literal(paths[i]) for (i, _) in p.entries}
     assert supported == {"@x2", "@x3", "e", "f"}
 
 
@@ -575,3 +576,20 @@ def test_export_format(fork):
     lines = export_sparse(a).splitlines()
     assert lines[0] == f"5 1 {b.basis_hash()}"
     assert lines[1:] == ["1 1 2/1", "3 0 4/1", "3 3 2/1"]
+
+
+def test_basis_memory_follows_the_paths_not_the_depth():
+    """``offsets`` stops at the longest path, so a depth far past the point
+    where the paths of digraph_T die out costs no memory, and ``upto`` past
+    the last level is the dimension."""
+    g = catalog.builtin("digraph_T").graph
+    tracemalloc.start()
+    try:
+        b = build_basis(g, 10**7, cap=10**8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    assert b.dim == 5 and b.offsets == (0, 3, 5)
+    assert b.upto(1) == b.upto(2) == b.upto(10**7) == b.upto(10**9) == b.dim
+    assert b.basis_hash() != build_basis(g, 1).basis_hash()  # the depth is hashed

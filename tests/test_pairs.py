@@ -23,7 +23,6 @@ from partlyfree import (
     double_cycle_witnesses,
     enumerate_paths,
     left_op,
-    length_projection,
     literal,
     materialize,
     pair_from_json,
@@ -37,7 +36,7 @@ from partlyfree.graphs import CycleWitness
 from partlyfree.pairs import _formally_orthogonal
 
 from conftest import cycle_graph, partial_map
-from reference import sum_left_ops, sum_vertex_projection
+from reference import length_projection, sum_left_ops, sum_vertex_projection, to_json
 
 
 def _summand_literals(summands):
@@ -358,7 +357,7 @@ def test_verify_blockwise_exact_on_window():
 
 def test_pair_json_round_trip(graph_d):
     pair = catalog.example_pair_partly_free_D(graph_d)
-    blob = json.dumps(pair.to_json())
+    blob = json.dumps(to_json(pair))
     again = pair_from_json(graph_d, json.loads(blob))
     assert again == pair
 

@@ -7,7 +7,6 @@ from partlyfree import (
     Edge,
     Graph,
     GraphError,
-    compose,
     enumerate_paths,
     literal,
     path_from_literal,
@@ -17,7 +16,7 @@ from partlyfree import (
 from partlyfree.paths import Path
 
 from conftest import cycle_graph
-from reference import is_left_divisor
+from reference import compose, is_left_divisor
 
 
 @st.composite

@@ -120,7 +120,7 @@ def test_window_pairs_verify_at_growing_windows():
 @settings(max_examples=50)
 @given(graph_and_walk())
 def test_unit_laws_on_walks(data):
-    from partlyfree import compose
+    from reference import compose
 
     g, names = data
     if not names:
@@ -142,7 +142,8 @@ def test_zero_pair_does_not_verify(graph_d):
 def test_left_ops_multiply_like_words_exhaustively(graph_d):
     # the truncated representation is multiplicative: L_u L_w == L_{uw}
     # exactly, including at the boundary, for every composable word pair
-    from partlyfree import compose, enumerate_paths
+    from partlyfree import enumerate_paths
+    from reference import compose
 
     basis = build_basis(graph_d, 5)
     words = enumerate_paths(graph_d, 3)
@@ -161,7 +162,8 @@ def test_left_ops_multiply_like_words_exhaustively(graph_d):
 def _reference_checks(u, v, initial_set, level, u_levels, v_levels, range_set):
     """The identities verify_pair decides, computed instead with SparseOp
     products, compressions, diagonal supports and partial_isometry_report."""
-    from partlyfree import SparseOp, length_projection
+    from partlyfree import SparseOp
+    from reference import length_projection
     from reference import diagonal_01_support, partial_isometry_report, sum_vertex_projection
 
     b = u.basis
@@ -231,12 +233,13 @@ def _assert_left_ops_compose(b):
     for every word w of length <= 3."""
     from fractions import Fraction
 
-    from partlyfree import SparseOp, compose, enumerate_paths
+    from partlyfree import SparseOp, enumerate_paths
+    from reference import compose
 
     index = {p: i for i, p in enumerate(enumerate_paths(b.graph, b.depth))}
     for w in enumerate_paths(b.graph, 3):
         entries = {}
-        for j, p in enumerate(b.paths):
+        for j, p in enumerate(enumerate_paths(b.graph, b.depth)):
             image = compose(w, p)
             if image is not None and len(image) <= b.depth:
                 entries[(index[image], j)] = Fraction(1)
@@ -356,7 +359,8 @@ def test_verify_pair_decides_non_injective_sum_exactly(graph_d):
 def test_uniform_flags_against_per_vertex_cycle_search(g):
     # uniform: every vertex reaches one that carries two first-return cycles;
     # the hyper-reflexivity flag is the same property of the transpose
-    from partlyfree import classify_finite, saturation_vertices, transpose
+    from partlyfree import classify_finite, transpose
+    from reference import saturation_vertices
 
     def uniform(h):
         bound = 2 * len(h.vertices)

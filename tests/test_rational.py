@@ -1,7 +1,7 @@
 """The rational operator path (``fock --op``, ``SparseOp`` sums and
 multiples, the basis hash, the Fourier tables and their plain and Cesaro
 reconstructions) against the earlier implementation kept word for word in
-``_reference_rational``."""
+``reference``."""
 
 import contextlib
 import io
@@ -21,16 +21,15 @@ from partlyfree import (
     left_op,
     literal,
     reconstruct,
-    render_graph,
     right_op,
-    vertex_projection,
 )
 from partlyfree.cli import _parse_op_expression, main
 from partlyfree.fock import BasisCapError
 from partlyfree.oracle import random_graph
 from partlyfree.paths import path_from_literal
 
-import _reference_rational as ref
+import reference as ref
+from reference import render_graph, vertex_projection
 
 # the Fock dimensions the reference comparisons may build
 CAP = 3_000

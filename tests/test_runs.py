@@ -1,7 +1,7 @@
 """The runs of ``fock.left_runs`` and the run-based ``pairs.verify_pair``
 against independent references: the paths themselves for every run, a
 per-word ``left_map`` for the shared-prefix runs of ``materialize``, and
-the dict-based verification path of ``_reference_verify`` for every
+the dict-based verification path of ``reference`` for every
 report, on constructed pairs and on mutations of them."""
 
 import random
@@ -18,20 +18,21 @@ from partlyfree import (
     Summand,
     build_basis,
     catalog,
-    compose,
     construct_pair,
     enumerate_paths,
     left_map,
     left_op,
     materialize,
+    right_op,
     verify_materialized,
 )
 from partlyfree import fock, pairs
-from partlyfree.fock import BasisCapError, left_runs
+from partlyfree.fock import BasisCapError, left_runs, right_map
 from partlyfree.oracle import random_graph
 from partlyfree.pairs import PairConstructionError
 
-import _reference_verify
+import reference as _reference_verify
+from reference import compose, to_json
 
 # the Fock dimensions the reference comparisons may build
 CAP = 20_000
@@ -207,7 +208,7 @@ def _window_cases():
 def _check_same(pair, b):
     new = _outcome(verify_materialized, pair, b)
     ref = _outcome(_reference_verify.verify_materialized, pair, b)
-    assert new == ref, (pair.to_json(), b.depth)
+    assert new == ref, (to_json(pair), b.depth)
     return new
 
 
@@ -320,8 +321,9 @@ def _run_graphs():
 @pytest.mark.parametrize("depth", range(5))
 def test_runs_are_ascending_and_match_the_paths(depth):
     """Each run of L_w lists, in strictly ascending order and the unit
-    column first, exactly the pairs (v, wv) of basis paths; ``left_op``
-    holds the same entries."""
+    column first, exactly the pairs (v, wv) of basis paths, and each map
+    of R_w the pairs (v, vw); ``left_op`` and ``right_op`` hold the same
+    entries.  The basis order is that of :func:`enumerate_paths`."""
     checked = 0
     for g in _run_graphs():
         try:
@@ -329,20 +331,26 @@ def test_runs_are_ascending_and_match_the_paths(depth):
         except BasisCapError:
             continue
         checked += 1
-        index = {p: i for i, p in enumerate(b.paths)}
-        into = {x: [] for x in g.vertices}
-        for j, v in enumerate(b.paths):
+        paths = enumerate_paths(g, depth)
+        index = {p: i for i, p in enumerate(paths)}
+        into, out_of = {x: [] for x in g.vertices}, {x: [] for x in g.vertices}
+        for j, v in enumerate(paths):
             into[v.target].append(j)
+            out_of[v.source].append(j)
         for w in enumerate_paths(g, depth + 1):
-            cols, rows = left_map(b, w)
-            images = ((j, compose(w, b.paths[j])) for j in into[w.source])
-            expected = [(j, index[p]) for j, p in images if len(p) <= depth]
-            assert list(zip(cols, rows)) == expected
-            assert all(a < c for a, c in zip(cols, cols[1:]))
-            assert all(a < c for a, c in zip(rows, rows[1:]))
-            if cols:
-                assert cols[0] == b.vertex_id[w.source]
-            assert {(r, c) for c, r in zip(cols, rows)} == set(left_op(b, w).entries)
+            for (cols, rows), op, unit_column, images in (
+                (left_map(b, w), left_op(b, w), w.source,
+                 ((j, compose(w, paths[j])) for j in into[w.source])),
+                (right_map(b, w), right_op(b, w), w.target,
+                 ((j, compose(paths[j], w)) for j in out_of[w.target])),
+            ):
+                expected = [(j, index[p]) for j, p in images if len(p) <= depth]
+                assert list(zip(cols, rows)) == expected
+                assert all(a < c for a, c in zip(cols, cols[1:]))
+                assert all(a < c for a, c in zip(rows, rows[1:]))
+                if cols:
+                    assert cols[0] == b.vertex_id[unit_column]
+                assert {(r, c) for c, r in zip(cols, rows)} == set(op.entries)
     assert checked >= 20
 
 
