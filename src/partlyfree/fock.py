@@ -34,7 +34,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain, repeat
-from operator import lt, mul
+from operator import mul
 from struct import Struct, pack
 from sys import byteorder
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -109,13 +109,8 @@ class FockBasis:
         first in ``rows``, is the one-edge path k, ``offsets[1] + k``.  The
         children of consecutive paths are consecutive, so for a path of
         length >= 1 rank 0 gives where its children begin, even if it has
-        none (:func:`right_map`).  One path steps without a list per rank."""
+        none (:func:`right_map`)."""
         one, first_child, g = self.offsets[1], self.first_child, self.graph
-        if len(rows) == 1:
-            i = rows[0]
-            for rank in ranks:
-                i = first_child[i] + rank if i >= one else one + g.out_edge[g.out_start[i] + rank]
-            return [i]
         for rank in ranks:
             unit = rows[0] if rows and rows[0] < one else None
             rows = [first_child[i] + rank for i in rows]
@@ -137,7 +132,7 @@ class FockBasis:
                 at = dst[k]
             else:
                 if self.vertices[at] == p.target:
-                    return self._walk([s], ranks)[0] if ranks else s
+                    return self._walk([s], ranks)[0]
         raise GraphError(f"path {literal(p)} is not in the basis")
 
     def path(self, i: int) -> Path:
@@ -477,7 +472,8 @@ def left_runs(b: FockBasis, words: Sequence[Path]) -> list[Run]:
     while common < shortest and len({w.edges[common] for w in fits}) == 1:
         common += 1
     eid, edge_rank = b.graph.eid, b.graph.edge_rank
-    ranks = [[edge_rank[eid[e]] for e in w.edges] for w in words]
+    ranks = [[edge_rank[eid[e]] for e in w.edges[common:]] for w in words]
+    prefix = [edge_rank[eid[e]] for e in fits[0].edges[:common]]
     runs = [(array("i"), array("i")) for _ in words]
     # each word's columns end below its cut; a word past the depth has cut 0
     cuts = [b.upto(b.depth - len(w)) for w in words]
@@ -489,14 +485,14 @@ def left_runs(b: FockBasis, words: Sequence[Path]) -> list[Run]:
         scan += range(lo, hi) if len(b.vertices) == 1 else [
             i for i, t in enumerate(target[lo:hi], lo) if t == s
         ]
-        shared = b._walk(scan, ranks[words.index(fits[0])][:common])
+        shared = b._walk(scan, prefix)
         for w_ranks, (cols, rows), cut in zip(ranks, runs, cuts):
             if scan and scan[0] < cut:
                 n = bisect_left(scan, cut)
                 # packing converts a list about twice as fast as array.fromlist
                 fmt = f"{n}i"
                 cols.frombytes(pack(fmt, *scan[:n]))
-                rows.frombytes(pack(fmt, *b._walk(shared[:n], w_ranks[common:])))
+                rows.frombytes(pack(fmt, *b._walk(shared[:n], w_ranks)))
         if hi == end:
             return runs
         lo, scan = hi, []
@@ -519,55 +515,47 @@ def right_map(b: FockBasis, w: Path) -> Run:
     compares first by its first-traversed edge, and the children of
     consecutive paths are consecutive, so the columns of one length with
     one first edge e are consecutive ordinals, a span; so are their images
-    vw, in the same order.  Each length is one span per out-edge of x, and
-    a span steps to the next length by child steps (:meth:`FockBasis._walk`)
-    from its ends.  Spans ascend within a length, and lengths ascend."""
+    vw, in the same order.  Each length is at most one span per out-edge of
+    x, and a span steps to the next length by child steps
+    (:meth:`FockBasis._walk`) from its ends.  Spans ascend within a length,
+    and lengths ascend."""
     _check_path(b.graph, w)
     if len(w) > b.depth:
         return array("i"), array("i")
     g, walk, inner = b.graph, b._walk, b.upto(b.depth - 1)
-    start, eid, edge_rank = g.out_start, g.eid, g.edge_rank
-    x, top = b.vertex_id[w.target], b.vertex_id[w.source]
-    if w.edges:
-        top = walk([top], [edge_rank[eid[e]] for e in w.edges])[0]
-    # the spans of length 1: the one-edge paths from x and the children of w
-    # along them (for a unit w the images are the columns); the children of
-    # w are consecutive, so spans with consecutive columns are one.  A span
-    # is its first column c, first image r and column end e.
-    heads = [x, top] if w.edges else [x]
-    cs, rs, es = [], [], []
-    for rank in range(start[x + 1] - start[x]) if b.depth > len(w) else ():
-        c, r = (walk(heads, (rank,)) * 2)[-2:]
-        if es and es[-1] == c:
-            es[-1] = c + 1
-        else:
-            cs.append(c), rs.append(r), es.append(c + 1)
-    spans = cs + rs + es
+    x = b.vertex_id[w.target]
+    top = walk([b.vertex_id[w.source]], [g.edge_rank[g.eid[e]] for e in w.edges])[0]
+    # the spans of length 1, each a one-edge path c from x and its image r,
+    # the child of w along it (c itself for a unit w); a span is its first
+    # column, first image and column end, and ``spans`` holds them in turn
+    spans = []
+    for rank in range(g.out_start[x + 1] - g.out_start[x]) if b.depth > len(w) else ():
+        c, r = walk([x], (rank,))[0], walk([top], (rank,))[0]
+        spans += c, r, c + 1
     cols, rows, runs = [x], [top], (array("i"), array("i"))
     left = b.depth - len(w)  # the column lengths still to fill
     while True:
-        if not (left and spans) or len(cols) >= RUN_CHUNK:
+        it, spans = iter(spans), []
+        for c, r, e in zip(it, it, it):  # the spans without children are dropped
+            if c < e:
+                cols += range(c, e)
+                rows += range(r, r + e - c)
+                spans += c, r, e
+        left -= 1
+        if not (left > 0 and spans) or len(cols) >= RUN_CHUNK:
             fmt = f"{len(cols)}i"
             runs[0].frombytes(pack(fmt, *cols))
             runs[1].frombytes(pack(fmt, *rows))
             cols, rows = [], []
-            if not (left and spans):
+            if not (left > 0 and spans):
                 return runs
-        m = len(spans) // 3
-        for c, r, e in zip(spans, spans[m:], spans[2 * m :]):
-            cols += range(c, e)
-            rows += range(r, r + e - c)
-        left -= 1
-        if left:
-            # the children of a span begin at the rank-0 steps from its first
-            # column and its image, and end where those of the path after it
-            # begin, or at the end of the basis after the paths at the depth
-            if spans[-1] < inner:
-                spans = walk(spans, (0,))
-            else:
-                spans = walk(spans[:-1], (0,)) + [b.dim]
-            if not all(map(lt, spans[:m], spans[2 * m :])):  # drop the spans without children
-                spans = [*chain.from_iterable(zip(*(s for s in zip(spans, spans[m:], spans[2 * m :]) if s[0] < s[2])))]
+        # the children of a span begin at the rank-0 steps from its first
+        # column and its image, and end where those of the path after it
+        # begin, or at the end of the basis after the paths at the depth
+        if spans[-1] < inner:
+            spans = walk(spans, (0,))
+        else:
+            spans = walk(spans[:-1], (0,)) + [b.dim]
 
 
 def left_op(b: FockBasis, w: Path) -> SparseOp:

@@ -38,7 +38,8 @@ import path.
   ``right_op``, ``fourier_coefficients``, ``reconstruct``,
   ``export_sparse``, ``_parse_op_expression``), kept word for word as the
   reference that the tests compare the package against; its P_x is
-  ``vertex_projection`` above, which had the same text.  ``SparseOp``
+  ``ref_vertex_projection``, the reference ``left_op`` of a unit, while
+  ``vertex_projection`` above builds the package's.  ``SparseOp``
   here is the package's class with its earlier ``+`` and scalar ``*``,
   which add and multiply every entry and filter zeros in the
   constructor; ``basis_hash`` is the earlier ``FockBasis.basis_hash`` as
@@ -1207,6 +1208,11 @@ def left_op(b: FockBasis, w: Path) -> SparseOp:
     return SparseOp(b, {(row, col): one for col, row in zip(*fock.left_map(b, w))})
 
 
+def ref_vertex_projection(b: FockBasis, x: str) -> SparseOp:
+    """P_x: diagonal projection onto basis paths with range x."""
+    return left_op(b, unit(b.graph, x))
+
+
 def right_op(b: FockBasis, w: Path) -> SparseOp:
     """The truncated right-regular operator R_w (Q_x for a unit).
 
@@ -1310,7 +1316,7 @@ def _parse_op_expression(basis, text: str) -> SparseOp:
         elif kind == "R":
             op = right_op(basis, path_from_literal(g, lit))
         elif kind == "P":
-            op = vertex_projection(basis, lit)
+            op = ref_vertex_projection(basis, lit)
         else:
             raise GraphError(f"unknown operator kind {kind!r} (use L, R or P)")
         total = total + scalar * op

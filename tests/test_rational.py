@@ -121,7 +121,7 @@ def test_rational_path_matches_reference(graph_file, data):
     for q, kind, lit in terms:
         q = Fraction(q or "1")
         if kind == "P":
-            mine, theirs = vertex_projection(b, lit), ref.vertex_projection(b, lit)
+            mine, theirs = vertex_projection(b, lit), ref.ref_vertex_projection(b, lit)
         else:
             w = path_from_literal(g, lit)
             mine, theirs = (left_op(b, w), ref.left_op(b, w)) if kind == "L" else (
